@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,8 +67,6 @@ PIPELINE_ARTIFACTS = (
     AUG_TGT,
     AUG_MANIFEST,
 )
-
-THREADS_ENV = "LEXALI_THREADS"
 
 _UTILITY_ALIASES = {
     "chrf": "chrf",
@@ -241,26 +238,6 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, count)
-
-
-def _map_sentences(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map, threaded when LEXALI_THREADS asks for it."""
-    threads = _thread_count()
-    if threads == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------- stages
 
 
@@ -272,10 +249,9 @@ def stage_align(src: str, tgt: str, out: Path, iterations: int) -> None:
     ):
         table = model1.train_model1(pair_corpus, direction, iterations)
         model1.write_table(table, out / table_name)
-        alignments = _map_sentences(
-            lambda pair, table=table: model1.viterbi_align(table, pair),
-            pair_corpus.pairs,
-        )
+        alignments = [
+            model1.viterbi_align(table, pair) for pair in pair_corpus.pairs
+        ]
         model1.write_alignments(alignments, out / align_name)
 
 

@@ -10,15 +10,29 @@ Training is plain sequential EM. The translation table is initialized
 uniformly over the emitted words each conditioning word co-occurs with, the
 E-step distributes one unit of count per emitted token proportionally to the
 current probabilities, and the M-step renormalizes per conditioning word.
-All accumulation runs in corpus order over insertion-ordered dicts, so
-repeated runs are bit-identical.
+
+Before the first iteration every co-occurring (conditioning, emitted) word
+pair is interned to an integer cell. Each conditioning word gets a row id,
+NULL first and the rest in first-seen order, and a row's cells are numbered
+contiguously. A sentence pair becomes a tuple of row ids (its candidates)
+plus, per emitted token, the tuple of cell ids its candidates index, so the
+iterations run over flat ``probs``, ``counts`` and ``totals`` lists instead
+of nested dicts.
+
+Floating-point addition is not associative, so the arithmetic order is part
+of the result. Each denominator is summed left to right in candidate order
+(not with ``sum``, whose compensated summation rounds differently on newer
+interpreters), and counts and totals accumulate in corpus order, token by
+token and candidate by candidate. Tables are therefore bit-identical across
+runs and supported Python versions.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import truediv
 from pathlib import Path
 from typing import Literal
 
@@ -32,6 +46,9 @@ PROB_FLOOR = 1e-12
 
 TGT_TO_SRC: Direction = "tgt_to_src"
 SRC_TO_TGT: Direction = "src_to_tgt"
+
+# one sentence pair: candidate row ids, then per emitted token its cell ids
+Layout = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -82,50 +99,98 @@ def _oriented(
 def train_model1(
     corpus: ParallelCorpus, direction: Direction, iterations: int
 ) -> TranslationTable:
-    """Run EM for the given number of iterations (at least 1)."""
+    """Run EM for the given number of iterations (at least 1).
+
+    The table holds an entry for every cell whose probability was positive
+    going into the last iteration, and a row for every conditioning word
+    whose expected count is positive.
+    """
     _check_direction(direction)
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if not corpus.pairs:
         raise CorpusFormatError("cannot train on an empty corpus")
 
-    pairs = _oriented(corpus, direction)
+    words, row_cells, layout = _intern_cells(_oriented(corpus, direction))
+    cell_rows: list[int] = []
+    probs: list[float] = []
+    for row, cells in enumerate(row_cells):
+        if cells:
+            cell_rows += [row] * len(cells)
+            probs += [1.0 / len(cells)] * len(cells)
 
-    # co-occurrence support per conditioning word, insertion-ordered
-    cooc: dict[str, dict[str, None]] = {NULL_WORD: {}}
+    for _ in range(iterations - 1):
+        counts, totals = _expected_counts(layout, probs, len(words))
+        probs = list(map(truediv, counts, map(totals.__getitem__, cell_rows)))
+    counts, totals = _expected_counts(layout, probs, len(words))
+
+    table: dict[str, dict[str, float]] = {}
+    for row, cells in enumerate(row_cells):
+        total = totals[row]
+        if total > 0.0:
+            table[words[row]] = {
+                f: counts[cell] / total
+                for f, cell in cells.items()
+                if probs[cell] != 0.0
+            }
+    return TranslationTable(direction=direction, probs=table)
+
+
+def _intern_cells(
+    pairs: list[tuple[Sentence, Sentence]],
+) -> tuple[list[str], list[dict[str, int]], list[Layout]]:
+    """Number every co-occurring (conditioning, emitted) word pair.
+
+    Returns the conditioning words by row id, each row's emitted words
+    mapped to their cell ids, and per sentence pair its candidate row ids
+    with one tuple of cell ids per emitted token.
+    """
+    row_ids = {NULL_WORD: 0}
+    row_words: list[dict[str, None]] = [{}]
+    pair_rows = []
     for conditioning, emitted in pairs:
-        for e in (NULL_WORD, *conditioning):
-            row = cooc.setdefault(e, {})
-            for f in emitted:
-                row[f] = None
+        rows = [0]
+        for e in conditioning:
+            row = row_ids.get(e)
+            if row is None:
+                row = row_ids[e] = len(row_words)
+                row_words.append({})
+            rows.append(row)
+        seen = dict.fromkeys(emitted)
+        for row in rows:
+            row_words[row].update(seen)
+        pair_rows.append(tuple(rows))
+    row_cells = []
+    start = 0
+    for emitted_words in row_words:
+        end = start + len(emitted_words)
+        row_cells.append(dict(zip(emitted_words, range(start, end))))
+        start = end
+    layout = []
+    for rows, (_, emitted) in zip(pair_rows, pairs):
+        columns = [map(row_cells[row].__getitem__, emitted) for row in rows]
+        layout.append((rows, tuple(zip(*columns))))
+    return list(row_ids), row_cells, layout
 
-    probs: dict[str, dict[str, float]] = {
-        e: {f: 1.0 / len(row) for f in row} for e, row in cooc.items()
-    }
 
-    for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {e: {} for e in probs}
-        totals: dict[str, float] = {e: 0.0 for e in probs}
-        for conditioning, emitted in pairs:
-            candidates = (NULL_WORD, *conditioning)
-            for f in emitted:
-                denom = 0.0
-                for e in candidates:
-                    denom += probs[e].get(f, 0.0)
-                for e in candidates:
-                    p = probs[e].get(f, 0.0)
-                    if p == 0.0:
-                        continue
-                    share = p / denom
-                    row = counts[e]
-                    row[f] = row.get(f, 0.0) + share
-                    totals[e] += share
-        probs = {
-            e: {f: count / totals[e] for f, count in row.items()}
-            for e, row in counts.items()
-            if totals[e] > 0.0
-        }
-    return TranslationTable(direction=direction, probs=probs)
+def _expected_counts(
+    layout: list[Layout], probs: list[float], n_rows: int
+) -> tuple[list[float], list[float]]:
+    """One E-step: expected count per cell and per conditioning row."""
+    counts = [0.0] * len(probs)
+    totals = [0.0] * n_rows
+    for rows, tokens in layout:
+        for cells in tokens:
+            denom = 0.0
+            for cell in cells:
+                denom += probs[cell]
+            if denom == 0.0:
+                continue
+            for row, cell in zip(rows, cells):
+                share = probs[cell] / denom
+                counts[cell] += share
+                totals[row] += share
+    return counts, totals
 
 
 def viterbi_align(
@@ -174,12 +239,6 @@ def log_likelihood(table: TranslationTable, corpus: ParallelCorpus) -> float:
                 p += table.prob(e, f)
             total += math.log(max(prior * p, PROB_FLOOR))
     return total
-
-
-def align_corpus(
-    table: TranslationTable, corpus: ParallelCorpus
-) -> list[DirectionalAlignment]:
-    return [viterbi_align(table, pair) for pair in corpus.pairs]
 
 
 def write_table(table: TranslationTable, path: str | Path) -> None:
@@ -238,7 +297,12 @@ def read_alignment_maps(path: str | Path) -> list[dict[int, int]]:
             left, sep, right = cell.partition("-")
             if not sep or not left.isdigit() or not right.isdigit():
                 raise AlignmentError(f"{path}:{lineno}: bad link {cell!r}")
-            links[int(right)] = int(left)
+            position = int(right)
+            if position in links:
+                raise AlignmentError(
+                    f"{path}:{lineno}: emitted position {position} linked twice"
+                )
+            links[position] = int(left)
         maps.append(links)
     return maps
 
@@ -246,6 +310,12 @@ def read_alignment_maps(path: str | Path) -> list[dict[int, int]]:
 def alignment_from_map(
     links: dict[int, int], emitted_length: int, conditioning_length: int
 ) -> DirectionalAlignment:
+    for position in links:
+        if not 0 <= position < emitted_length:
+            raise AlignmentError(
+                f"link to emitted position {position} out of range for "
+                f"emitted length {emitted_length}"
+            )
     return DirectionalAlignment(
         links=tuple(links.get(j) for j in range(emitted_length)),
         conditioning_length=conditioning_length,

@@ -90,6 +90,54 @@ def em_oracle(pairs, iterations):
     return likelihoods, probs
 
 
+def em_loop_oracle(corpus, direction, iterations):
+    """Model 1 EM as nested-dict loops: the reference the package's
+    flat-cell EM must equal exactly, bit for bit.
+
+    It adds in the same order as the package (denominators left to right in
+    candidate order, counts and totals in corpus order), so any difference
+    is a bug rather than rounding. Returns the table as a nested dict.
+    """
+    if direction == "tgt_to_src":
+        pairs = [(src, tgt) for src, tgt in corpus.pairs]
+    else:
+        pairs = [(tgt, src) for src, tgt in corpus.pairs]
+
+    # co-occurrence support per conditioning word, insertion-ordered
+    cooc = {NULL: {}}
+    for conditioning, emitted in pairs:
+        for e in (NULL, *conditioning):
+            row = cooc.setdefault(e, {})
+            for f in emitted:
+                row[f] = None
+
+    probs = {e: {f: 1.0 / len(row) for f in row} for e, row in cooc.items()}
+
+    for _ in range(iterations):
+        counts = {e: {} for e in probs}
+        totals = {e: 0.0 for e in probs}
+        for conditioning, emitted in pairs:
+            candidates = (NULL, *conditioning)
+            for f in emitted:
+                denom = 0.0
+                for e in candidates:
+                    denom += probs[e].get(f, 0.0)
+                for e in candidates:
+                    p = probs[e].get(f, 0.0)
+                    if p == 0.0:
+                        continue
+                    share = p / denom
+                    row = counts[e]
+                    row[f] = row.get(f, 0.0) + share
+                    totals[e] += share
+        probs = {
+            e: {f: count / totals[e] for f, count in row.items()}
+            for e, row in counts.items()
+            if totals[e] > 0.0
+        }
+    return probs
+
+
 # ------------------------------------------------------------ tokenizing
 
 

@@ -12,6 +12,29 @@ from lexali.errors import ConfigError
 DATA = resources.files("lexali") / "data"
 
 
+# sha256 of each artifact of `pipeline` with defaults on the bundled mini
+# corpus; the same on every supported Python version
+MINI_ARTIFACTS = {
+    "align.intersect.txt": "da247eb06c24c01614129739736459223c7796880d3ad9adc8414fdcf1530858",
+    "align.src_to_tgt.txt": "769230bd06ac9bdefcea96ab47e5a847d617cd2dd597a6c0deac9b5870a78732",
+    "align.tgt_to_src.txt": "d4be9b3c9156e15bd9b4b182b3d23263ace15d4efa4e625fc88d0afbe7d92d1e",
+    "augmented.manifest.tsv": "9d797f45be5d373dc6b5ddd836e8c7d86b3f6af621bb57d59accaf738591635d",
+    "augmented.src": "6321efcb652f5348b53829c403de729e5b0f46e8f1add39b595f2d18ccaba03b",
+    "augmented.tgt": "752dbdd4116812341424003c1f9bfd22c3b30dd9f6005086441e6fb4bbe05224",
+    "bpe.merges": "e5925b55ccf0dbd3901a39365f451de6eece186d5f67e2c5e5608b4147c92e26",
+    "lexicon.tsv": "46a877fe0fe760c0595ce6f9bb6c0332b63ba1a80a87ae72ce12a75e615c98c2",
+    "model1.src_to_tgt.txt": "c101ec82e99f47d1037a57b5ca2004db03388deec483111ed177b9548c10ba98",
+    "model1.tgt_to_src.txt": "5e52ecd5d17c2d95a2b81d48d760f119178191087f620ee5aafd49bebd9757f1",
+    "train.ali": "df90be5f035a8413c82cce587dc54ef2b57d587eda8c1a7a5ed38208fa363121",
+    "train.ali.bpe": "df90be5f035a8413c82cce587dc54ef2b57d587eda8c1a7a5ed38208fa363121",
+    "train.lex": "04c2b3ebbe5040b53cfb3913ac11ea2e7a08e57772f7accd7c6c4fadcdcacb39",
+    "train.lex.bpe": "f388a3f52113825ea3bc2fb11bca6917fe2fca1badbcb9ae7095e0bd785f25dc",
+    "train.src.bpe": "1bba23ee484ca4f5475c2f5123b78ff321cfc13135466d475f9a6b171a473664",
+    "train.tgt.bpe": "879b4969882e5c45e8fd907d94afde1fe4fddb76454eb35bb7f79a5debf20e34",
+    "vocab.tgt.bpe": "ae28b0e9cc9ba459a2194752aeab87c6f2a6c4f81b5c501377760816c77c19dd",
+}
+
+
 def data_path(name):
     return str(DATA / name)
 
@@ -133,6 +156,13 @@ class TestPipeline:
         second = (tmp_path / "run" / cli.RUN_MANIFEST).read_bytes()
         assert first == second
 
+    def test_mini_artifacts_match_pinned_checksums(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["pipeline", "--src", data_path("mini.src"),
+                    "--tgt", data_path("mini.tgt"), "--out", out]) == 0
+        manifest = json.loads((out / cli.RUN_MANIFEST).read_text())
+        assert manifest["artifacts"] == MINI_ARTIFACTS
+
     def test_pipeline_equals_chained_subcommands(self, tmp_path):
         src = data_path("toy.src")
         tgt = data_path("toy.tgt")
@@ -177,19 +207,6 @@ class TestPipeline:
         assert run(["ali", "--tgt", data_path("toy.tgt"), "--out", tmp_path]) == 1
         err = capsys.readouterr().err
         assert "error:" in err
-
-    def test_threaded_alignment_matches_sequential(
-        self, tmp_path, monkeypatch
-    ):
-        src = data_path("toy.src")
-        tgt = data_path("toy.tgt")
-        run(["align", "--src", src, "--tgt", tgt, "--out", tmp_path / "seq"])
-        monkeypatch.setenv(cli.THREADS_ENV, "4")
-        run(["align", "--src", src, "--tgt", tgt, "--out", tmp_path / "par"])
-        for name in (cli.TABLE_T2S, cli.TABLE_S2T, cli.ALIGN_T2S, cli.ALIGN_S2T):
-            assert (tmp_path / "seq" / name).read_bytes() == (
-                tmp_path / "par" / name
-            ).read_bytes()
 
 
 class TestDecodingCommands:

@@ -2,13 +2,16 @@
 
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lexali import model1
 from lexali.corpus import ParallelCorpus
 from lexali.errors import AlignmentError, CorpusFormatError
-from oracles import em_oracle
+from oracles import em_loop_oracle, em_oracle
 
 TOY = ParallelCorpus(
     pairs=(
@@ -24,6 +27,20 @@ def random_corpus(rng, sentences=8, vocab="abcdef", tvocab="uvwxyz"):
         src = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
         tgt = tuple(rng.choice(tvocab) for _ in range(rng.randint(1, 5)))
         pairs.append((src, tgt))
+    return ParallelCorpus(pairs=tuple(pairs))
+
+
+# one vocabulary for both sides, so words repeat inside a sentence and
+# appear on both sides
+SENTENCE = st.lists(st.sampled_from("abcde"), min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def corpora(draw):
+    """Random pairs plus one pair that has a repeated conditioning word, a
+    one-word sentence and a word on both sides."""
+    pairs = draw(st.lists(st.tuples(SENTENCE, SENTENCE), max_size=8))
+    pairs.insert(draw(st.integers(0, len(pairs))), (("a", "b", "a"), ("a",)))
     return ParallelCorpus(pairs=tuple(pairs))
 
 
@@ -84,6 +101,13 @@ class TestTraining:
                 assert final.probs[word][emitted] == pytest.approx(
                     prob, abs=1e-9
                 )
+
+    @given(corpus=corpora())
+    def test_equals_loop_reference_exactly(self, corpus):
+        for direction in (model1.TGT_TO_SRC, model1.SRC_TO_TGT):
+            for k in range(1, 7):
+                table = model1.train_model1(corpus, direction, k)
+                assert table.probs == em_loop_oracle(corpus, direction, k)
 
     def test_deterministic_bit_identical(self):
         rng = random.Random(5)
@@ -236,6 +260,19 @@ class TestFiles:
             {0: 1, 2: 0}, emitted_length=3, conditioning_length=2
         )
         assert alignment.links == (1, None, 0)
+
+    def test_alignment_map_link_beyond_emitted_length_rejected(self):
+        with pytest.raises(AlignmentError, match="emitted position 9"):
+            model1.alignment_from_map(
+                {0: 1, 9: 0}, emitted_length=3, conditioning_length=2
+            )
+
+    def test_repeated_emitted_position_rejected(self, tmp_path):
+        path = tmp_path / "align.txt"
+        path.write_text("0-0\n0-1 2-1\n", encoding="utf-8")
+        pattern = rf"{re.escape(str(path))}:2: .*position 1"
+        with pytest.raises(AlignmentError, match=pattern):
+            model1.read_alignment_maps(path)
 
     def test_bad_link_cell(self, tmp_path):
         path = tmp_path / "align.txt"
