@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
 from .corpus import Sentence
@@ -37,10 +37,40 @@ class BleuReport:
         )
 
 
-def _ngrams(tokens: Sentence, order: int) -> Counter[Sentence]:
-    return Counter(
-        tokens[i : i + order] for i in range(len(tokens) - order + 1)
-    )
+def ngram_counts(items: Sequence[Hashable], max_order: int) -> list[Counter]:
+    """Counters of the n-grams of orders 1 to min(max_order, len(items)).
+
+    ``items`` is a token tuple or a string. An n-gram is keyed as the tuple
+    of its n items, so these counters compare only with each other. The
+    counter of order n sums to len(items) - n + 1.
+    """
+    return [
+        Counter(zip(*(items[i:] for i in range(order))))
+        for order in range(1, min(max_order, len(items)) + 1)
+    ]
+
+
+def clipped_matches(
+    left: Sequence[Counter], right: Sequence[Counter], max_order: int
+) -> list[int]:
+    """Sum of min counts per order of two ``ngram_counts`` lists, for
+    orders 1 to max_order.
+
+    ``min`` is symmetric, so one call serves both directions of a pair. An
+    order missing from either list matches nothing.
+    """
+    matches = [0] * max_order
+    for k, (small, large) in enumerate(zip(left, right)):
+        if len(large) < len(small):
+            small, large = large, small
+        get = large.get
+        matched = 0
+        for gram, count in small.items():
+            other = get(gram)
+            if other is not None:
+                matched += count if count < other else other
+        matches[k] = matched
+    return matches
 
 
 def corpus_bleu(
@@ -60,13 +90,12 @@ def corpus_bleu(
     for hyp, ref in zip(hypotheses, references):
         hyp_length += len(hyp)
         ref_length += len(ref)
-        for order in range(1, MAX_ORDER + 1):
-            hyp_grams = _ngrams(hyp, order)
-            ref_grams = _ngrams(ref, order)
-            totals[order - 1] += sum(hyp_grams.values())
-            matched[order - 1] += sum(
-                min(count, ref_grams[gram]) for gram, count in hyp_grams.items()
-            )
+        pair_matches = clipped_matches(
+            ngram_counts(hyp, MAX_ORDER), ngram_counts(ref, MAX_ORDER), MAX_ORDER
+        )
+        for k in range(MAX_ORDER):
+            matched[k] += pair_matches[k]
+            totals[k] += max(0, len(hyp) - k)
 
     precisions = tuple(
         m / t if t > 0 else 0.0 for m, t in zip(matched, totals)

@@ -295,10 +295,15 @@ def stage_ali(tgt: str, out: Path) -> None:
             f"tgt={len(tgt_sentences)}, {ALIGN_T2S}={len(maps)}"
         )
     out_sentences = []
-    for lex, tgt_sentence, link_map in zip(lex_sentences, tgt_sentences, maps):
-        alignment = model1.alignment_from_map(
-            link_map, len(tgt_sentence), len(lex)
-        )
+    for lineno, (lex, tgt_sentence, link_map) in enumerate(
+        zip(lex_sentences, tgt_sentences, maps), start=1
+    ):
+        try:
+            alignment = model1.alignment_from_map(
+                link_map, len(tgt_sentence), len(lex)
+            )
+        except AlignmentError as error:
+            raise AlignmentError(f"{out / ALIGN_T2S}:{lineno}: {error}") from error
         out_sentences.append(
             sequences.make_ali(lex, alignment, len(tgt_sentence))
         )
@@ -530,11 +535,7 @@ def cmd_mbr(args: argparse.Namespace) -> int:
     score_lines: list[str] = []
     for pool in zip(*candidate_files):
         scores = mbr.expected_utilities(pool, kind)
-        best = 0
-        for i in range(1, len(scores)):
-            if scores[i] > scores[best]:
-                best = i
-        consensus.append(tuple(pool[best]))
+        consensus.append(tuple(pool[mbr.best_index(scores)]))
         cells = [f"{s:.6f}" for s in scores]
         empty = [str(i) for i, cand in enumerate(pool) if not cand]
         if empty:

@@ -20,15 +20,29 @@ used directionally as u(hypothesis, reference):
 
 Every utility returns 1.0 when both sides are empty and 0.0 when exactly
 one side is empty.
+
+Scoring a pool builds one profile per distinct candidate (for chrF the
+character n-gram counters of orders 1 to min(6, length) of the joined text,
+for sentence BLEU the token n-gram counters of orders 1 to 4, both from
+``bleu.ngram_counts``) and scores each unordered pair of distinct candidates
+once. The clipped overlap, a sum of min counts, is the same in both
+directions, so one overlap per order yields u(a, b) and u(b, a): a's chrF
+precision terms are b's recall terms, and sentence BLEU shares the matched
+counts while each side keeps its own totals and brevity. The floats are
+those of scoring every ordered pair on its own: each order's precision is
+one int-by-int division, the per-order terms are averaged with the built-in
+``sum`` over a list (compensated on Python 3.12+, so a loop would round
+differently), and each pool row adds its utilities one by one in pool
+order, duplicates included, before dividing by the pool size.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Literal
 
+from .bleu import clipped_matches, ngram_counts
 from .corpus import Sentence
 from .errors import ScoringError
 
@@ -40,36 +54,17 @@ CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
 BLEU_MAX_ORDER = 4
 
-
-def _char_ngrams(text: str, order: int) -> Counter[str]:
-    return Counter(text[i : i + order] for i in range(len(text) - order + 1))
-
-
-def _overlap(hyp_grams: Counter, ref_grams: Counter) -> int:
-    return sum(min(count, ref_grams[gram]) for gram, count in hyp_grams.items())
+# (length, n-gram counters): the length is that of the joined text for chrF
+# and the token count for sentence BLEU
+Profile = tuple[int, list]
 
 
-def chrf(hyp: Sentence, ref: Sentence) -> float:
-    hyp_text = " ".join(hyp)
-    ref_text = " ".join(ref)
-    if not hyp_text and not ref_text:
-        return 1.0
-    if not hyp_text or not ref_text:
-        return 0.0
+def _chrf_profile(sentence: Sentence) -> Profile:
+    text = " ".join(sentence)
+    return len(text), ngram_counts(text, CHRF_MAX_ORDER)
 
-    precisions = []
-    for order in range(1, min(CHRF_MAX_ORDER, len(hyp_text)) + 1):
-        hyp_grams = _char_ngrams(hyp_text, order)
-        matched = _overlap(hyp_grams, _char_ngrams(ref_text, order))
-        precisions.append(matched / sum(hyp_grams.values()))
-    recalls = []
-    for order in range(1, min(CHRF_MAX_ORDER, len(ref_text)) + 1):
-        ref_grams = _char_ngrams(ref_text, order)
-        matched = _overlap(ref_grams, _char_ngrams(hyp_text, order))
-        recalls.append(matched / sum(ref_grams.values()))
 
-    precision = sum(precisions) / len(precisions)
-    recall = sum(recalls) / len(recalls)
+def _f_score(precision: float, recall: float) -> float:
     beta_sq = CHRF_BETA * CHRF_BETA
     denom = beta_sq * precision + recall
     if denom == 0.0:
@@ -77,45 +72,81 @@ def chrf(hyp: Sentence, ref: Sentence) -> float:
     return (1.0 + beta_sq) * precision * recall / denom
 
 
-def _token_ngrams(tokens: Sentence, order: int) -> Counter[Sentence]:
-    return Counter(
-        tokens[i : i + order] for i in range(len(tokens) - order + 1)
-    )
+def _chrf_pair(a: Profile, b: Profile) -> tuple[float, float]:
+    """(u(a, b), u(b, a)) under chrF."""
+    (a_length, a_grams), (b_length, b_grams) = a, b
+    if not a_length and not b_length:
+        return 1.0, 1.0
+    if not a_length or not b_length:
+        return 0.0, 0.0
+    matched = clipped_matches(a_grams, b_grams, CHRF_MAX_ORDER)
+    # order k + 1 of a text of length n has n - k n-grams
+    a_terms = [matched[k] / (a_length - k) for k in range(len(a_grams))]
+    b_terms = [matched[k] / (b_length - k) for k in range(len(b_grams))]
+    a_mean = sum(a_terms) / len(a_terms)
+    b_mean = sum(b_terms) / len(b_terms)
+    return _f_score(a_mean, b_mean), _f_score(b_mean, a_mean)
 
 
-def sentence_bleu(hyp: Sentence, ref: Sentence) -> float:
-    if not hyp and not ref:
-        return 1.0
-    if not hyp or not ref:
-        return 0.0
+def _sbleu_profile(sentence: Sentence) -> Profile:
+    return len(sentence), ngram_counts(sentence, BLEU_MAX_ORDER)
+
+
+def _sbleu(matched: list[int], hyp_length: int, ref_length: int) -> float:
     log_sum = 0.0
-    for order in range(1, BLEU_MAX_ORDER + 1):
-        hyp_grams = _token_ngrams(hyp, order)
-        matched = _overlap(hyp_grams, _token_ngrams(ref, order))
-        total = sum(hyp_grams.values())
-        log_sum += math.log((matched + 1) / (total + 1))
+    for k in range(BLEU_MAX_ORDER):
+        total = max(0, hyp_length - k)
+        log_sum += math.log((matched[k] + 1) / (total + 1))
     geo_mean = math.exp(log_sum / BLEU_MAX_ORDER)
-    brevity = min(1.0, math.exp(1.0 - len(ref) / len(hyp)))
+    brevity = min(1.0, math.exp(1.0 - ref_length / hyp_length))
     return brevity * geo_mean
 
 
-def exact_match(hyp: Sentence, ref: Sentence) -> float:
-    return 1.0 if tuple(hyp) == tuple(ref) else 0.0
+def _sbleu_pair(a: Profile, b: Profile) -> tuple[float, float]:
+    """(u(a, b), u(b, a)) under smoothed sentence BLEU."""
+    (a_length, a_grams), (b_length, b_grams) = a, b
+    if not a_length and not b_length:
+        return 1.0, 1.0
+    if not a_length or not b_length:
+        return 0.0, 0.0
+    matched = clipped_matches(a_grams, b_grams, BLEU_MAX_ORDER)
+    return _sbleu(matched, a_length, b_length), _sbleu(matched, b_length, a_length)
 
 
-_UTILITIES = {
-    "chrf": chrf,
-    "sentence_bleu": sentence_bleu,
-    "exact_match": exact_match,
+def _exact_pair(a: Sentence, b: Sentence) -> tuple[float, float]:
+    value = 1.0 if a == b else 0.0
+    return value, value
+
+
+_UTILITIES: dict[str, tuple[Callable, Callable]] = {
+    "chrf": (_chrf_profile, _chrf_pair),
+    "sentence_bleu": (_sbleu_profile, _sbleu_pair),
+    "exact_match": (tuple, _exact_pair),
 }
 
 
-def utility(hyp: Sentence, ref: Sentence, kind: UtilityKind) -> float:
+def _scorer(kind: str) -> tuple[Callable, Callable]:
     try:
-        fn = _UTILITIES[kind]
+        return _UTILITIES[kind]
     except KeyError:
         raise ScoringError(f"unknown utility: {kind!r}") from None
-    return fn(hyp, ref)
+
+
+def utility(hyp: Sentence, ref: Sentence, kind: UtilityKind) -> float:
+    profile, pair = _scorer(kind)
+    return pair(profile(hyp), profile(ref))[0]
+
+
+def chrf(hyp: Sentence, ref: Sentence) -> float:
+    return utility(hyp, ref, "chrf")
+
+
+def sentence_bleu(hyp: Sentence, ref: Sentence) -> float:
+    return utility(hyp, ref, "sentence_bleu")
+
+
+def exact_match(hyp: Sentence, ref: Sentence) -> float:
+    return utility(hyp, ref, "exact_match")
 
 
 def expected_utilities(
@@ -124,23 +155,32 @@ def expected_utilities(
     """Average utility of each candidate against the whole pool, self included."""
     if not pool:
         raise ScoringError("candidate pool is empty")
-    fn = _UTILITIES.get(kind)
-    if fn is None:
-        raise ScoringError(f"unknown utility: {kind!r}")
-    # pools are tiny and often repetitive, so memoize pairs
-    cache: dict[tuple[Sentence, Sentence], float] = {}
+    profile, pair = _scorer(kind)
+    # pools are tiny and often repetitive: score distinct candidates only
+    ids: dict[Sentence, int] = {}
+    pool_ids = [ids.setdefault(tuple(candidate), len(ids)) for candidate in pool]
+    profiles = [profile(candidate) for candidate in ids]
+    table = [[0.0] * len(profiles) for _ in profiles]
+    for i, a in enumerate(profiles):
+        for j in range(i, len(profiles)):
+            table[i][j], table[j][i] = pair(a, profiles[j])
     scores = []
-    for hyp in pool:
+    for i in pool_ids:
+        row = table[i]
         total = 0.0
-        for ref in pool:
-            key = (hyp, ref)
-            value = cache.get(key)
-            if value is None:
-                value = fn(hyp, ref)
-                cache[key] = value
-            total += value
+        for j in pool_ids:
+            total += row[j]
         scores.append(total / len(pool))
     return scores
+
+
+def best_index(scores: Sequence[float]) -> int:
+    """Index of the highest score; the first of ties wins."""
+    best = 0
+    for i in range(1, len(scores)):
+        if scores[i] > scores[best]:
+            best = i
+    return best
 
 
 def mbr_select(
@@ -148,8 +188,5 @@ def mbr_select(
 ) -> tuple[int, Sentence]:
     """Index and tokens of the expected-utility argmax; first of ties wins."""
     scores = expected_utilities(pool, kind)
-    best_index = 0
-    for i in range(1, len(scores)):
-        if scores[i] > scores[best_index]:
-            best_index = i
-    return best_index, tuple(pool[best_index])
+    best = best_index(scores)
+    return best, tuple(pool[best])

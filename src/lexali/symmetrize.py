@@ -115,15 +115,28 @@ def write_links(
 
 
 def read_links(path: str | Path) -> list[OneToOneAlignment]:
+    """Parse "i-j" lines; each source and each target position appears at
+    most once per line, as intersection produces them."""
     alignments: list[OneToOneAlignment] = []
     for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
-        links = set()
+        links: dict[int, int] = {}
+        targets: set[int] = set()
         for cell in line.split():
             left, sep, right = cell.partition("-")
             if not sep or not left.isdigit() or not right.isdigit():
                 raise AlignmentError(f"{path}:{lineno}: bad link {cell!r}")
-            links.add((int(left), int(right)))
-        alignments.append(frozenset(links))
+            i, j = int(left), int(right)
+            if i in links:
+                raise AlignmentError(
+                    f"{path}:{lineno}: source position {i} linked twice"
+                )
+            if j in targets:
+                raise AlignmentError(
+                    f"{path}:{lineno}: target position {j} linked twice"
+                )
+            links[i] = j
+            targets.add(j)
+        alignments.append(frozenset(links.items()))
     return alignments
 
 

@@ -3,12 +3,15 @@
 Nothing in here imports package internals, and the code is deliberately
 written in a different style from the production modules (matrix EM,
 full-rescan BPE, string-slicing n-gram dicts), so a shared bug would have
-to be invented twice to slip through.
+to be invented twice to slip through. The ``*_loop_oracle`` functions are
+the exception: they keep an earlier, slower form of a package algorithm in
+the package's own operation order, so the package must equal them exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -355,3 +358,99 @@ def corpus_bleu_oracle(hyps, refs):
         product *= hits[n] / totals[n]
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * product**0.25
+
+
+# ------------------------------------------- scoring, exact loop references
+
+
+def _slice_counts(items, order):
+    return Counter(items[i : i + order] for i in range(len(items) - order + 1))
+
+
+def _clipped(own, other):
+    return sum(min(count, other[gram]) for gram, count in own.items())
+
+
+def chrf_loop_oracle(hyp, ref):
+    """chrF rebuilding both sides' counters for every call: the reference
+    ``mbr.chrf`` and ``mbr.expected_utilities`` must equal bit for bit."""
+    hyp_text = " ".join(hyp)
+    ref_text = " ".join(ref)
+    if not hyp_text and not ref_text:
+        return 1.0
+    if not hyp_text or not ref_text:
+        return 0.0
+    precisions = []
+    for order in range(1, min(6, len(hyp_text)) + 1):
+        hyp_grams = _slice_counts(hyp_text, order)
+        matched = _clipped(hyp_grams, _slice_counts(ref_text, order))
+        precisions.append(matched / sum(hyp_grams.values()))
+    recalls = []
+    for order in range(1, min(6, len(ref_text)) + 1):
+        ref_grams = _slice_counts(ref_text, order)
+        matched = _clipped(ref_grams, _slice_counts(hyp_text, order))
+        recalls.append(matched / sum(ref_grams.values()))
+    precision = sum(precisions) / len(precisions)
+    recall = sum(recalls) / len(recalls)
+    denom = 4.0 * precision + recall
+    if denom == 0.0:
+        return 0.0
+    return (1.0 + 4.0) * precision * recall / denom
+
+
+def sbleu_loop_oracle(hyp, ref):
+    """Smoothed sentence BLEU rebuilding both sides' counters per call."""
+    if not hyp and not ref:
+        return 1.0
+    if not hyp or not ref:
+        return 0.0
+    log_sum = 0.0
+    for order in range(1, 5):
+        hyp_grams = _slice_counts(hyp, order)
+        matched = _clipped(hyp_grams, _slice_counts(ref, order))
+        total = sum(hyp_grams.values())
+        log_sum += math.log((matched + 1) / (total + 1))
+    geo_mean = math.exp(log_sum / 4)
+    brevity = min(1.0, math.exp(1.0 - len(ref) / len(hyp)))
+    return brevity * geo_mean
+
+
+def expected_utilities_loop_oracle(pool, util_fn):
+    """Each row sums u(hyp, ref) over the pool in order, memoized per
+    ordered pair, then divides by the pool size."""
+    cache = {}
+    scores = []
+    for hyp in pool:
+        total = 0.0
+        for ref in pool:
+            key = (hyp, ref)
+            if key not in cache:
+                cache[key] = util_fn(hyp, ref)
+            total += cache[key]
+        scores.append(total / len(pool))
+    return scores
+
+
+def corpus_bleu_loop_oracle(hyps, refs):
+    """Corpus BLEU from per-order counters rebuilt for every sentence, as
+    (score, precisions, brevity_penalty, hyp_length, ref_length)."""
+    matched = [0] * 4
+    totals = [0] * 4
+    hyp_length = 0
+    ref_length = 0
+    for hyp, ref in zip(hyps, refs):
+        hyp_length += len(hyp)
+        ref_length += len(ref)
+        for order in range(1, 5):
+            hyp_grams = _slice_counts(hyp, order)
+            totals[order - 1] += sum(hyp_grams.values())
+            matched[order - 1] += _clipped(hyp_grams, _slice_counts(ref, order))
+    precisions = tuple(m / t if t > 0 else 0.0 for m, t in zip(matched, totals))
+    if hyp_length == 0:
+        return 0.0, precisions, 0.0, 0, ref_length
+    brevity = min(1.0, math.exp(1.0 - ref_length / hyp_length))
+    if any(p == 0.0 for p in precisions):
+        score = 0.0
+    else:
+        score = 100.0 * brevity * math.exp(sum(math.log(p) for p in precisions) / 4)
+    return score, precisions, brevity, hyp_length, ref_length

@@ -202,6 +202,14 @@ class TestPipeline:
         assert run(["pipeline", *toy_args]) == 1
         assert "locked" in capsys.readouterr().err
 
+    def test_ali_out_of_range_link_names_file_and_line(self, tmp_path, toy_args, capsys):
+        out = tmp_path / "run"
+        assert run(["pipeline", *toy_args]) == 0
+        (out / cli.ALIGN_T2S).write_text("0-0 1-1\n9-0 1-1\n", encoding="utf-8")
+        assert run(["ali", "--tgt", data_path("toy.tgt"), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"{cli.ALIGN_T2S}:2: link 9 out of range" in err
+
     def test_subcommand_missing_artifacts_fails(self, tmp_path, capsys):
         # ali requires earlier artifacts; point at an empty directory
         assert run(["ali", "--tgt", data_path("toy.tgt"), "--out", tmp_path]) == 1
@@ -249,6 +257,19 @@ class TestDecodingCommands:
         line = scores.read_text(encoding="utf-8").strip()
         assert line.endswith("empty=1")
         assert len(line.split("\t")) == 3
+
+    def test_mbr_tie_takes_smallest_index(self, tmp_path):
+        # under exact match line 1 ties all five candidates and line 2 ties
+        # indices 1 to 4; neither winner is the smallest or the last string
+        lines = [("b", "x"), ("a", "y"), ("c", "y"), ("d", "z"), ("e", "z")]
+        files = []
+        for i, cells in enumerate(lines):
+            path = tmp_path / f"c{i}.txt"
+            path.write_text("".join(cell + "\n" for cell in cells), encoding="utf-8")
+            files.append(path)
+        out = tmp_path / "consensus.txt"
+        assert run(["mbr", *files, "--utility", "exact", "--output", out]) == 0
+        assert out.read_text(encoding="utf-8") == "b\ny\n"
 
     def test_mbr_line_count_mismatch(self, tmp_path, capsys):
         (tmp_path / "c0.txt").write_text("a\nb\n", encoding="utf-8")

@@ -4,10 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexali.bleu import corpus_bleu
+from lexali.bleu import BleuReport, corpus_bleu
 from lexali.errors import ScoringError
-from oracles import corpus_bleu_oracle
+from oracles import corpus_bleu_loop_oracle, corpus_bleu_oracle
 
 LONG = [
     ("the", "cat", "sat", "on", "the", "mat"),
@@ -96,3 +98,21 @@ def test_fuzzed_corpora_match_independent_scorer():
             corpus_bleu_oracle(hyps, refs), abs=0.01
         )
         assert 0.0 <= report.score <= 100.0
+
+
+SENTENCES = st.lists(st.sampled_from(["a", "b", "c", "the"]), max_size=7).map(tuple)
+
+
+@st.composite
+def sentence_pairs(draw):
+    hyp = draw(SENTENCES)
+    ref = draw(st.one_of(st.just(hyp), SENTENCES, SENTENCES.map(lambda s: hyp + s)))
+    return hyp, ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(sentence_pairs(), min_size=1, max_size=6))
+def test_equals_loop_reference_exactly(pairs):
+    hyps = [hyp for hyp, _ in pairs]
+    refs = [ref for _, ref in pairs]
+    assert corpus_bleu(hyps, refs) == BleuReport(*corpus_bleu_loop_oracle(hyps, refs))

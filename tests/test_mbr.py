@@ -4,10 +4,20 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexali import mbr
 from lexali.errors import ScoringError
-from oracles import chrf_oracle, exact_oracle, mbr_oracle, sbleu_oracle
+from oracles import (
+    chrf_loop_oracle,
+    chrf_oracle,
+    exact_oracle,
+    expected_utilities_loop_oracle,
+    mbr_oracle,
+    sbleu_loop_oracle,
+    sbleu_oracle,
+)
 
 KINDS = ("chrf", "sentence_bleu", "exact_match")
 
@@ -16,6 +26,30 @@ ORACLES = {
     "sentence_bleu": sbleu_oracle,
     "exact_match": exact_oracle,
 }
+
+LOOP_ORACLES = {
+    "chrf": chrf_loop_oracle,
+    "sentence_bleu": sbleu_loop_oracle,
+    "exact_match": exact_oracle,
+}
+
+# up to 7 tokens from a small vocabulary: empty sentences, texts shorter
+# than 6 characters, sentences shorter than 4 tokens and shared n-grams of
+# every order all occur
+SENTENCES = st.lists(
+    st.sampled_from(["a", "b", "ab", "ba", "abc", "the"]), max_size=7
+).map(tuple)
+
+
+@st.composite
+def pools(draw):
+    """1 to 8 candidates drawn from at most 4 distinct sentences, so most
+    pools repeat a candidate."""
+    distinct = draw(st.lists(SENTENCES, min_size=1, max_size=4))
+    picks = draw(
+        st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8)
+    )
+    return [distinct[i] for i in picks]
 
 # chrF for hyp "the cat" vs ref "the cat sat": all precisions are 1, the
 # recalls are (7/11, 6/10, 5/9, 4/8, 3/7, 2/6); frozen from the reference
@@ -140,6 +174,17 @@ class TestSelection:
             impl_scores = mbr.expected_utilities(pool, kind)
             for ours, theirs in zip(impl_scores, oracle_scores):
                 assert ours == pytest.approx(theirs, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=150, deadline=None)
+    @given(pool=pools())
+    @example(pool=[("a", "b"), (), ("a",), ("the", "a", "b", "ab", "ba"), ("a", "b")])
+    def test_equals_loop_reference_exactly(self, kind, pool):
+        scores = mbr.expected_utilities(pool, kind)
+        assert scores == expected_utilities_loop_oracle(pool, LOOP_ORACLES[kind])
+        for hyp in pool:
+            assert mbr.utility(hyp, pool[0], kind) == LOOP_ORACLES[kind](hyp, pool[0])
+            assert mbr.utility(pool[0], hyp, kind) == LOOP_ORACLES[kind](pool[0], hyp)
 
     def test_duplicating_the_winner_never_dethrones_it(self):
         rng = random.Random(59)

@@ -154,6 +154,18 @@ def test_links_file_round_trip(tmp_path):
     assert symmetrize.read_links(path) == alignments
 
 
+@pytest.mark.parametrize(
+    "line, position",
+    [("0-0 0-1", "source position 0"), ("0-1 1-1", "target position 1"),
+     ("1-0 1-0", "source position 1")],
+)
+def test_links_file_repeated_position_rejected(tmp_path, line, position):
+    path = tmp_path / "links.txt"
+    path.write_text(f"0-0\n{line}\n", encoding="utf-8")
+    with pytest.raises(AlignmentError, match=rf"links\.txt:2: {position} linked twice"):
+        symmetrize.read_links(path)
+
+
 def test_lexicon_file_round_trip(tmp_path):
     lexicon = symmetrize.BilingualLexicon(
         entries={"haus": ("house", 2), "alt": ("old", 1)}, total_links=3
