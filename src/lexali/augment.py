@@ -9,6 +9,15 @@ token such as ``<213>`` naming the requested segment order (digit 1 is lex,
 2 is ali, 3 is tgt). Extraction slices one segment back out of a decoded
 sequence, distinguishing a missing marker (None) from a present but empty
 segment (an empty sequence).
+
+Everything that depends only on the segment order (the control token, the
+markers and where each segment sits in the target) is planned once per
+``augment_corpus`` call, so the per-example work is tuple concatenation and
+indexing. ``augment_corpus`` still returns one ``list[AugmentedExample]``,
+not a generator: callers take its ``len()`` (the benchmark counts examples
+that way) and the list is the unit the tests compare. ``write_augmented``
+writes each example's three lines straight to the open files, with the
+manifest's control digits formatted once per order.
 """
 
 from __future__ import annotations
@@ -23,7 +32,6 @@ from typing import Literal
 
 from .corpus import Sentence
 from .errors import MarkerError, PermutationError
-from .sequences import SegmentSet
 
 Mode = Literal["simple", "full"]
 
@@ -49,7 +57,16 @@ class SegmentKind(IntEnum):
 MARKER_TOKENS = frozenset(kind.marker for kind in SegmentKind)
 
 _BY_DIGIT = {kind.digit: kind for kind in SegmentKind}
-_BY_MARKER = {kind.marker: kind for kind in SegmentKind}
+
+
+@dataclass(frozen=True)
+class SegmentSet:
+    """The segments available for one sentence pair."""
+
+    source: Sentence
+    tgt: Sentence
+    lex: Sentence | None = None
+    ali: Sentence | None = None
 
 
 @dataclass(frozen=True)
@@ -93,20 +110,6 @@ def parse_control_token(token: str) -> tuple[SegmentKind, ...]:
     return tuple(_BY_DIGIT[d] for d in digits)
 
 
-def compose_target(
-    segments: SegmentSet, order: Sequence[SegmentKind]
-) -> Sentence:
-    """Concatenate the requested segments, each preceded by its marker."""
-    kinds = _check_order(order)
-    if SegmentKind.TGT not in kinds:
-        raise PermutationError("segment order must include tgt")
-    out: list[str] = []
-    for kind in kinds:
-        out.append(kind.marker)
-        out.extend(segment_of(segments, kind))
-    return tuple(out)
-
-
 def augment_corpus(
     segment_sets: Sequence[SegmentSet],
     kinds: Sequence[SegmentKind],
@@ -129,22 +132,36 @@ def augment_corpus(
     else:
         raise ValueError(f"unknown mode: {mode!r}")
 
+    # one plan per order: the order, the control token to prepend (none in
+    # simple mode) and the canonical positions of its segments
+    markers = [(kind.marker,) for kind in canonical]
+    position = {kind: i for i, kind in enumerate(canonical)}
+    plans = [
+        (
+            order,
+            (control_token(order),) if mode == "full" else (),
+            tuple(position[kind] for kind in order),
+        )
+        for order in orders
+    ]
+
     examples: list[AugmentedExample] = []
     for sentence_index, segments in enumerate(segment_sets):
-        for order in orders:
-            target = compose_target(segments, order)
-            source = segments.source
-            if mode == "full":
-                source = (control_token(order), *source)
+        values = [segment_of(segments, kind) for kind in canonical]
+        marked = [marker + value for marker, value in zip(markers, values)]
+        lengths = [len(value) for value in values]
+        source = segments.source
+        for order, control, positions in plans:
+            target: Sentence = ()
+            for i in positions:
+                target += marked[i]
             examples.append(
                 AugmentedExample(
                     sentence_index=sentence_index,
                     order=order,
-                    source_tokens=source,
+                    source_tokens=control + source,
                     target_tokens=target,
-                    segment_lengths=tuple(
-                        len(segment_of(segments, kind)) for kind in order
-                    ),
+                    segment_lengths=tuple([lengths[i] for i in positions]),
                 )
             )
     return examples
@@ -187,21 +204,21 @@ def write_augmented(
     Manifest lines are tab-separated: sentence index, control digits, then
     one token count per segment in emission order.
     """
-    src_lines: list[str] = []
-    tgt_lines: list[str] = []
-    manifest_lines: list[str] = []
-    for example in examples:
-        src_lines.append(" ".join(example.source_tokens))
-        tgt_lines.append(" ".join(example.target_tokens))
-        digits = "".join(kind.digit for kind in example.order)
-        lengths = "\t".join(str(n) for n in example.segment_lengths)
-        manifest_lines.append(f"{example.sentence_index}\t{digits}\t{lengths}")
-    Path(src_path).write_text(
-        "".join(line + "\n" for line in src_lines), encoding="utf-8"
-    )
-    Path(tgt_path).write_text(
-        "".join(line + "\n" for line in tgt_lines), encoding="utf-8"
-    )
-    Path(manifest_path).write_text(
-        "".join(line + "\n" for line in manifest_lines), encoding="utf-8"
-    )
+    digits: dict[tuple[SegmentKind, ...], str] = {}
+    with open(src_path, "w", encoding="utf-8") as src, open(
+        tgt_path, "w", encoding="utf-8"
+    ) as tgt, open(manifest_path, "w", encoding="utf-8") as manifest:
+        for example in examples:
+            order = example.order
+            order_digits = digits.get(order)
+            if order_digits is None:
+                order_digits = digits[order] = "".join(
+                    kind.digit for kind in order
+                )
+            src.write(" ".join(example.source_tokens) + "\n")
+            tgt.write(" ".join(example.target_tokens) + "\n")
+            manifest.write(
+                f"{example.sentence_index}\t{order_digits}\t"
+                + "\t".join(map(str, example.segment_lengths))
+                + "\n"
+            )

@@ -366,7 +366,7 @@ def stage_augment(
             f"lex={len(lex_sentences)}, ali={len(ali_sentences)}"
         )
     segment_sets = [
-        sequences.SegmentSet(source=src, tgt=tgt, lex=lex, ali=ali)
+        augment.SegmentSet(source=src, tgt=tgt, lex=lex, ali=ali)
         for src, tgt, lex, ali in zip(
             src_sentences, tgt_sentences, lex_sentences, ali_sentences
         )

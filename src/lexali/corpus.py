@@ -165,12 +165,22 @@ def write_vocab(vocab: dict[str, int], path: str | Path) -> None:
 
 
 def read_vocab(path: str | Path) -> dict[str, int]:
+    """Load "token count" lines: each token once, with a non-negative
+    integer count."""
     vocab: dict[str, int] = {}
     for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
         parts = line.split()
         if len(parts) != 2:
             raise CorpusFormatError(f"{path}:{lineno}: expected 'token count'")
-        vocab[parts[0]] = int(parts[1])
+        token, count_text = parts
+        if not (count_text.isascii() and count_text.isdigit()):
+            raise CorpusFormatError(
+                f"{path}:{lineno}: count {count_text!r} is not a "
+                "non-negative integer"
+            )
+        if token in vocab:
+            raise CorpusFormatError(f"{path}:{lineno}: token {token!r} listed twice")
+        vocab[token] = int(count_text)
     return vocab
 
 

@@ -10,22 +10,10 @@ times and NULL-linked target positions contribute nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .corpus import Sentence
 from .errors import AlignmentError
 from .model1 import DirectionalAlignment
 from .symmetrize import BilingualLexicon
-
-
-@dataclass(frozen=True)
-class SegmentSet:
-    """The segments available for one sentence pair."""
-
-    source: Sentence
-    tgt: Sentence
-    lex: Sentence | None = None
-    ali: Sentence | None = None
 
 
 def make_lex(source: Sentence, lexicon: BilingualLexicon) -> Sentence:

@@ -155,7 +155,8 @@ def read_lexicon(path: str | Path) -> BilingualLexicon:
     """Load a lexicon file.
 
     The file stores winning entries only, so total_links is rebuilt as the
-    sum of winning counts (a floor of the original corpus-wide total).
+    sum of winning counts (a floor of the original corpus-wide total). Each
+    source word appears once, with a non-negative integer count.
     """
     entries: dict[str, tuple[str, int]] = {}
     total = 0
@@ -165,7 +166,17 @@ def read_lexicon(path: str | Path) -> BilingualLexicon:
             raise AlignmentError(
                 f"{path}:{lineno}: expected 'source<TAB>target<TAB>count'"
             )
-        count = int(parts[2])
-        entries[parts[0]] = (parts[1], count)
+        src_word, tgt_word, count_text = parts
+        if not (count_text.isascii() and count_text.isdigit()):
+            raise AlignmentError(
+                f"{path}:{lineno}: count {count_text!r} is not a "
+                "non-negative integer"
+            )
+        if src_word in entries:
+            raise AlignmentError(
+                f"{path}:{lineno}: source word {src_word!r} listed twice"
+            )
+        count = int(count_text)
+        entries[src_word] = (tgt_word, count)
         total += count
     return BilingualLexicon(entries=entries, total_links=total)

@@ -6,14 +6,21 @@ full-rescan BPE, string-slicing n-gram dicts), so a shared bug would have
 to be invented twice to slip through. The ``*_loop_oracle`` functions are
 the exception: they keep an earlier, slower form of a package algorithm in
 the package's own operation order, so the package must equal them exactly.
+The augmentation references among them build the package's own
+``AugmentedExample`` records, so that example lists compare with ``==``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
+
+from lexali.augment import AugmentedExample, SegmentKind
+from lexali.errors import PermutationError
 
 NULL = "<NULL>"
 FLOOR = 1e-12
@@ -454,3 +461,92 @@ def corpus_bleu_loop_oracle(hyps, refs):
     else:
         score = 100.0 * brevity * math.exp(sum(math.log(p) for p in precisions) / 4)
     return score, precisions, brevity, hyp_length, ref_length
+
+
+# ------------------------------------ augmentation, exact loop references
+
+
+def _check_order(order):
+    kinds = tuple(order)
+    if not kinds:
+        raise PermutationError("segment order is empty")
+    if len(set(kinds)) != len(kinds):
+        raise PermutationError(f"duplicate segment kind in order {kinds}")
+    return kinds
+
+
+def _segment_of(segments, kind):
+    value = getattr(segments, kind.name.lower())
+    if value is None:
+        raise PermutationError(f"segment {kind.name.lower()} is not available")
+    return value
+
+
+def compose_target(segments, order):
+    """Concatenate the requested segments, each preceded by its marker."""
+    kinds = _check_order(order)
+    if SegmentKind.TGT not in kinds:
+        raise PermutationError("segment order must include tgt")
+    out = []
+    for kind in kinds:
+        out.append(kind.marker)
+        out.extend(_segment_of(segments, kind))
+    return tuple(out)
+
+
+def augment_loop_oracle(segment_sets, kinds, mode):
+    """Augmentation composing every example from scratch: the reference
+    ``augment.augment_corpus`` must equal field for field."""
+    canonical = tuple(sorted(_check_order(kinds)))
+    if SegmentKind.TGT not in canonical:
+        raise PermutationError("segment subset must include tgt")
+    if mode == "simple":
+        orders = [canonical]
+    elif mode == "full":
+        orders = list(itertools.permutations(canonical))
+    else:
+        raise ValueError(f"unknown mode: {mode!r}")
+
+    examples = []
+    for sentence_index, segments in enumerate(segment_sets):
+        for order in orders:
+            target = compose_target(segments, order)
+            source = segments.source
+            if mode == "full":
+                control = "<" + "".join(kind.digit for kind in order) + ">"
+                source = (control, *source)
+            examples.append(
+                AugmentedExample(
+                    sentence_index=sentence_index,
+                    order=order,
+                    source_tokens=source,
+                    target_tokens=target,
+                    segment_lengths=tuple(
+                        len(_segment_of(segments, kind)) for kind in order
+                    ),
+                )
+            )
+    return examples
+
+
+def write_augmented_oracle(examples, src_path, tgt_path, manifest_path):
+    """Build each file's lines in full, then write it in one piece: the
+    bytes ``augment.write_augmented`` must reproduce."""
+    src_lines = []
+    tgt_lines = []
+    manifest_lines = []
+    for example in examples:
+        src_lines.append(" ".join(example.source_tokens))
+        tgt_lines.append(" ".join(example.target_tokens))
+        digits = "".join(kind.digit for kind in example.order)
+        lengths = "\t".join(str(n) for n in example.segment_lengths)
+        manifest_lines.append(f"{example.sentence_index}\t{digits}\t{lengths}")
+    Path(src_path).write_text(
+        "".join(line + "\n" for line in src_lines), encoding="utf-8"
+    )
+    Path(tgt_path).write_text(
+        "".join(line + "\n" for line in tgt_lines), encoding="utf-8"
+    )
+    Path(manifest_path).write_text(
+        "".join(line + "\n" for line in manifest_lines), encoding="utf-8"
+    )

@@ -117,7 +117,7 @@ def test_permutation_integrity_on_fuzzed_segments():
         return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
 
     for _ in range(1000):
-        segments = sequences.SegmentSet(
+        segments = augment.SegmentSet(
             source=sent(), tgt=sent(), lex=sent(), ali=sent()
         )
         examples = augment.augment_corpus([segments], kinds, "full")

@@ -35,6 +35,22 @@ MINI_ARTIFACTS = {
 }
 
 
+# sha256 of the augmented files of `pipeline` on the bundled mini corpus with
+# the other augmentation settings
+MINI_AUGMENTED = {
+    "simple": {
+        "augmented.manifest.tsv": "d8959f4648f7c525290944648451daed5c9d11768af141814d41c741f4b40d42",
+        "augmented.src": "1bba23ee484ca4f5475c2f5123b78ff321cfc13135466d475f9a6b171a473664",
+        "augmented.tgt": "0f581df05a3cdcb4738105f99f72a91c4b3b5df2122bf2f4e9768eb66cd16b03",
+    },
+    "tgt,lex": {
+        "augmented.manifest.tsv": "05953d8a599946b9c774abde45c1534d9459b77d4658491af2dc7317e2c620de",
+        "augmented.src": "fb64d99594aeac6510518d4640904159d6ae5a10affbb17ab355b6a30c0160b6",
+        "augmented.tgt": "b4580d5a80039d438608dc87ed39c1002395b0135a64d0a7a405d45874a96b72",
+    },
+}
+
+
 def data_path(name):
     return str(DATA / name)
 
@@ -163,6 +179,19 @@ class TestPipeline:
         manifest = json.loads((out / cli.RUN_MANIFEST).read_text())
         assert manifest["artifacts"] == MINI_ARTIFACTS
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mode", "simple"], ["--segments", "tgt,lex"]],
+        ids=["simple", "tgt,lex"],
+    )
+    def test_mini_augmented_match_pinned_checksums(self, tmp_path, flags):
+        out = tmp_path / "run"
+        assert run(["pipeline", "--src", data_path("mini.src"),
+                    "--tgt", data_path("mini.tgt"), "--out", out, *flags]) == 0
+        artifacts = json.loads((out / cli.RUN_MANIFEST).read_text())["artifacts"]
+        pinned = MINI_AUGMENTED[flags[1]]
+        assert {name: artifacts[name] for name in pinned} == pinned
+
     def test_pipeline_equals_chained_subcommands(self, tmp_path):
         src = data_path("toy.src")
         tgt = data_path("toy.tgt")
@@ -209,6 +238,24 @@ class TestPipeline:
         assert run(["ali", "--tgt", data_path("toy.tgt"), "--out", out]) == 1
         err = capsys.readouterr().err
         assert f"{cli.ALIGN_T2S}:2: link 9 out of range" in err
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [("x\ty\tnotanint", "count 'notanint' is not a non-negative integer"),
+         ("buch\tZZZ\t1", "source word 'buch' listed twice")],
+        ids=["non-integer", "repeated"],
+    )
+    def test_lex_bad_lexicon_line_names_file_and_line(
+        self, tmp_path, toy_args, capsys, line, message
+    ):
+        out = tmp_path / "run"
+        assert run(["pipeline", *toy_args]) == 0
+        lexicon = out / cli.LEXICON
+        lines = lexicon.read_text(encoding="utf-8").splitlines()
+        lexicon.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
+        assert run(["lex", "--src", data_path("toy.src"), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"{cli.LEXICON}:{len(lines) + 1}: {message}" in err
 
     def test_subcommand_missing_artifacts_fails(self, tmp_path, capsys):
         # ali requires earlier artifacts; point at an empty directory

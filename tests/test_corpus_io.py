@@ -152,6 +152,19 @@ class TestVocab:
         assert text == "low 5\naa 2\ner 2\n"
         assert corpus.read_vocab(tmp_path / "v.txt") == vocab
 
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [("er x", "count 'x' is not a non-negative integer"),
+         ("er -2", "count '-2' is not a non-negative integer"),
+         ("low 1", "token 'low' listed twice")],
+        ids=["non-integer", "negative", "repeated"],
+    )
+    def test_vocab_file_bad_line_rejected(self, tmp_path, line, message):
+        path = tmp_path / "v.txt"
+        path.write_text(f"low 5\n{line}\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=rf"v\.txt:2: {message}"):
+            corpus.read_vocab(path)
+
     def test_merge_counts(self):
         merged = corpus.merge_counts({"a": 1, "b": 2}, {"b": 3, "c": 4})
         assert merged == {"a": 1, "b": 5, "c": 4}

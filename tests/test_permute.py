@@ -1,23 +1,25 @@
 """Segment composition, control tokens, augmentation, extraction."""
 
 import itertools
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lexali.augment import (
     AugmentedExample,
     SegmentKind,
+    SegmentSet,
     augment_corpus,
-    compose_target,
     control_token,
     extract_segment,
     parse_control_token,
     write_augmented,
 )
 from lexali.errors import MarkerError, PermutationError
-from lexali.sequences import SegmentSet
+from oracles import augment_loop_oracle, compose_target, write_augmented_oracle
 
 LEX, ALI, TGT = SegmentKind.LEX, SegmentKind.ALI, SegmentKind.TGT
 
@@ -37,24 +39,27 @@ def test_markers_and_digits():
 
 
 def test_compose_concatenates_marked_segments():
-    out = compose_target(segment_set(), (TGT, LEX))
-    assert out == ("<tgt>", "t1", "t2", "t3", "<lex>", "l1", "l2")
+    examples = augment_corpus([segment_set()], (TGT, LEX), "full")
+    assert examples[1].order == (TGT, LEX)
+    assert examples[1].target_tokens == (
+        "<tgt>", "t1", "t2", "t3", "<lex>", "l1", "l2"
+    )
 
 
 def test_compose_requires_tgt():
     with pytest.raises(PermutationError, match="tgt"):
-        compose_target(segment_set(), (LEX, ALI))
+        augment_corpus([segment_set()], (LEX, ALI), "full")
 
 
 def test_compose_rejects_duplicates():
     with pytest.raises(PermutationError, match="duplicate"):
-        compose_target(segment_set(), (TGT, TGT))
+        augment_corpus([segment_set()], (TGT, TGT), "full")
 
 
 def test_compose_rejects_missing_segment():
     bare = SegmentSet(source=("s",), tgt=("t",))
-    with pytest.raises(PermutationError, match="lex"):
-        compose_target(bare, (LEX, TGT))
+    with pytest.raises(PermutationError, match="segment lex is not available"):
+        augment_corpus([bare], (TGT, LEX), "full")
 
 
 def test_control_token_digits_follow_order():
@@ -182,3 +187,63 @@ def test_write_augmented_files(tmp_path):
     assert (tmp_path / "a.src").read_text(encoding="utf-8") == "<31> s\n"
     assert (tmp_path / "a.tgt").read_text(encoding="utf-8") == "<tgt> t <lex> l\n"
     assert (tmp_path / "a.tsv").read_text(encoding="utf-8") == "0\t31\t1\t1\n"
+
+
+# every configured subset holds tgt; each is drawn in any order
+KINDS = st.sampled_from([(TGT,), (LEX, TGT), (ALI, TGT), (LEX, ALI, TGT)]).flatmap(
+    st.permutations
+)
+
+
+@st.composite
+def corpora(draw):
+    """Kinds plus segment sets; a segment outside the kinds may be absent."""
+    kinds = draw(KINDS)
+
+    def segment(kind):
+        if kind in kinds:
+            return SEGMENT
+        return st.one_of(st.none(), SEGMENT)
+
+    segment_sets = draw(
+        st.lists(
+            st.builds(
+                SegmentSet,
+                source=SEGMENT,
+                tgt=SEGMENT,
+                lex=segment(LEX),
+                ali=segment(ALI),
+            ),
+            max_size=4,
+        )
+    )
+    return segment_sets, tuple(kinds)
+
+
+def write_both(examples, expected):
+    """The bytes of the three files from write_augmented and its oracle."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("a.src", "a.tgt", "a.tsv")]
+        oracle_paths = [Path(tmp, "oracle" + path.suffix) for path in paths]
+        write_augmented(examples, *paths)
+        write_augmented_oracle(expected, *oracle_paths)
+        return (
+            [path.read_bytes() for path in paths],
+            [path.read_bytes() for path in oracle_paths],
+        )
+
+
+@given(corpus=corpora(), mode=st.sampled_from(["simple", "full"]))
+@example(corpus=([], (TGT, ALI, LEX)), mode="full")
+@example(
+    corpus=([SegmentSet(source=(), tgt=(), lex=(), ali=())], (TGT, ALI, LEX)),
+    mode="full",
+)
+@example(corpus=([SegmentSet(source=(), tgt=("t",))], (TGT,)), mode="simple")
+def test_equals_loop_reference_exactly(corpus, mode):
+    segment_sets, kinds = corpus
+    examples = augment_corpus(segment_sets, kinds, mode)
+    expected = augment_loop_oracle(segment_sets, kinds, mode)
+    assert examples == expected
+    written, oracle_written = write_both(examples, expected)
+    assert written == oracle_written

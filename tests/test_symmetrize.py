@@ -176,3 +176,17 @@ def test_lexicon_file_round_trip(tmp_path):
     loaded = symmetrize.read_lexicon(path)
     assert loaded.entries == lexicon.entries
     assert loaded.total_links == 3
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [("buch\tbook\tnotanint", "count 'notanint' is not a non-negative integer"),
+     ("buch\tbook\t-1", "count '-1' is not a non-negative integer"),
+     ("haus\tZZZ\t1", "source word 'haus' listed twice")],
+    ids=["non-integer", "negative", "repeated"],
+)
+def test_lexicon_file_bad_line_rejected(tmp_path, line, message):
+    path = tmp_path / "lexicon.tsv"
+    path.write_text(f"haus\thouse\t2\n{line}\n", encoding="utf-8")
+    with pytest.raises(AlignmentError, match=rf"lexicon\.tsv:2: {message}"):
+        symmetrize.read_lexicon(path)
