@@ -318,13 +318,19 @@ def write_merges(table: MergeTable, path: str | Path) -> None:
 
 
 def read_merges(path: str | Path) -> MergeTable:
-    lines = _split_lines(_decode(path))
-    if lines and lines[0].startswith("#"):
-        lines = lines[1:]
-    merges = []
-    for lineno, line in enumerate(lines, start=2):
+    """Load a merge table: an optional '#' header line, then one pair of
+    non-empty symbols per line, each pair listed once."""
+    merges: dict[Pair, None] = {}
+    for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
+        if lineno == 1 and line.startswith("#"):
+            continue
         parts = line.split(" ")
         if len(parts) != 2:
             raise SegmentationError(f"{path}:{lineno}: expected 'left right'")
-        merges.append((parts[0], parts[1]))
+        pair = (parts[0], parts[1])
+        if not all(pair):
+            raise SegmentationError(f"{path}:{lineno}: empty symbol in {line!r}")
+        if pair in merges:
+            raise SegmentationError(f"{path}:{lineno}: merge {line!r} listed twice")
+        merges[pair] = None
     return MergeTable(tuple(merges))

@@ -2,8 +2,9 @@
 
 Every subcommand reads and writes fixed artifact names inside the working
 directory given by --out, so running the full pipeline is byte-identical to
-chaining the individual subcommands by hand. Options come from an optional
-"key = value" configuration file plus command line flags; flags win. The
+chaining the individual subcommands by hand. Each stage option is declared
+once, in OPTIONS; its value comes from a command line flag, else (for the
+pipeline) an optional "key = value" configuration file, else its default. The
 pipeline records a manifest of artifact checksums and holds a lock file for
 the duration of the run.
 """
@@ -15,8 +16,8 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import partial
 from pathlib import Path
 
 from . import __version__, augment, bleu, bpe, corpus, mbr, model1, sequences, symmetrize
@@ -74,75 +75,6 @@ _UTILITY_ALIASES = {
     "exact": "exact_match",
 }
 
-_CONFIG_KEYS = (
-    "src",
-    "tgt",
-    "out",
-    "iterations",
-    "merges",
-    "segments",
-    "mode",
-    "utility",
-    "seed",
-    "vocab_threshold",
-)
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    src: str
-    tgt: str
-    out: str
-    iterations: int = 5
-    merges: int = 500
-    segments: tuple[augment.SegmentKind, ...] = (
-        augment.SegmentKind.LEX,
-        augment.SegmentKind.ALI,
-        augment.SegmentKind.TGT,
-    )
-    mode: str = "full"
-    utility: str = "chrf"
-    seed: int = 0
-    vocab_threshold: int = 1
-
-    def as_strings(self) -> dict[str, str]:
-        return {
-            "src": self.src,
-            "tgt": self.tgt,
-            "out": self.out,
-            "iterations": str(self.iterations),
-            "merges": str(self.merges),
-            "segments": ",".join(k.name.lower() for k in self.segments),
-            "mode": self.mode,
-            "utility": self.utility,
-            "seed": str(self.seed),
-            "vocab_threshold": str(self.vocab_threshold),
-        }
-
-
-def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse "key = value" lines; '#' starts a comment, blank lines skipped."""
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if not value:
-            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        values[key] = value
-    return values
-
 
 def _parse_int(value: str, key: str, minimum: int) -> int:
     try:
@@ -169,6 +101,12 @@ def _parse_segments(value: str) -> tuple[augment.SegmentKind, ...]:
     return tuple(kinds)
 
 
+def _parse_mode(value: str) -> str:
+    if value not in ("simple", "full"):
+        raise ConfigError(f"mode must be 'simple' or 'full', got {value!r}")
+    return value
+
+
 def _parse_utility(value: str) -> str:
     kind = _UTILITY_ALIASES.get(value, value)
     if kind not in mbr.UTILITY_KINDS:
@@ -176,66 +114,90 @@ def _parse_utility(value: str) -> str:
     return kind
 
 
-def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """Merge config file values and flags; flags win, then defaults."""
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = read_config_file(args.config)
+# Every stage option, once: the parser of its string value and its default
+# string (None: required). The stage and pipeline flags, the config file keys
+# and the manifest's config section are all built from this table.
+OPTIONS: dict[str, tuple[Callable[[str], object], str | None]] = {
+    "src": (str, None),
+    "tgt": (str, None),
+    "out": (str, None),
+    "iterations": (partial(_parse_int, key="iterations", minimum=1), "5"),
+    "merges": (partial(_parse_int, key="merges", minimum=0), "500"),
+    "segments": (_parse_segments, "lex,ali,tgt"),
+    "mode": (_parse_mode, "full"),
+    "vocab_threshold": (partial(_parse_int, key="vocab_threshold", minimum=1), "1"),
+}
 
-    def pick(key: str) -> str | None:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return str(flag)
-        return file_values.get(key)
+# The stage subcommands in pipeline order, each with its help text and the
+# options it takes. Subcommand "x-y" runs the module function stage_x_y,
+# looked up by name at call time.
+STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "align": ("train both translation tables and align", ("src", "tgt", "out", "iterations")),
+    "symmetrize": ("intersect the two alignment files", ("out",)),
+    "lexicon": ("extract the bilingual lexicon", ("src", "tgt", "out")),
+    "lex": ("translate the source word for word", ("src", "out")),
+    "ali": ("reorder the lex sequence into target order", ("tgt", "out")),
+    "bpe-learn": ("learn byte-pair merges", ("src", "tgt", "out", "merges")),
+    "bpe-apply": ("apply the learned merges everywhere", ("src", "tgt", "out", "vocab_threshold")),
+    "augment": ("emit permutation training examples", ("out", "segments", "mode")),
+}
 
-    src = pick("src")
-    tgt = pick("tgt")
-    out = pick("out")
-    for name, value in (("src", src), ("tgt", tgt), ("out", out)):
+
+def read_config_file(path: str | Path) -> dict[str, str]:
+    """Parse "key = value" lines, one option name of OPTIONS per line.
+
+    '#' always starts a comment, so a value cannot contain '#'. Blank lines
+    are skipped; an unknown, repeated or empty key is an error.
+    """
+    values: dict[str, str] = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key = key.strip()
+        value = value.strip()
+        if key not in OPTIONS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+        if not value:
+            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
+        values[key] = value
+    return values
+
+
+def resolve(
+    args: argparse.Namespace, names: Iterable[str], file_values: Mapping[str, str]
+) -> argparse.Namespace:
+    """Parse each named option from its flag, else the config file, else
+    its default."""
+    resolved = argparse.Namespace()
+    for name in names:
+        parse, default = OPTIONS[name]
+        value = getattr(args, name, None)
+        if value is None:
+            value = file_values.get(name, default)
         if value is None:
             raise ConfigError(f"missing required option {name!r}")
-    for name, value in (("src", src), ("tgt", tgt)):
-        if not Path(value).is_file():
-            raise ConfigError(f"{name} path does not exist: {value}")
+        setattr(resolved, name, parse(value))
+    return resolved
 
-    defaults = PipelineConfig(src=src, tgt=tgt, out=out)
-    iterations = pick("iterations")
-    merges = pick("merges")
-    segments = pick("segments")
-    mode = pick("mode")
-    utility = pick("utility")
-    seed = pick("seed")
-    vocab_threshold = pick("vocab_threshold")
-    if mode is not None and mode not in ("simple", "full"):
-        raise ConfigError(f"mode must be 'simple' or 'full', got {mode!r}")
-    return PipelineConfig(
-        src=src,
-        tgt=tgt,
-        out=out,
-        iterations=(
-            _parse_int(iterations, "iterations", 1)
-            if iterations is not None
-            else defaults.iterations
-        ),
-        merges=(
-            _parse_int(merges, "merges", 0)
-            if merges is not None
-            else defaults.merges
-        ),
-        segments=(
-            _parse_segments(segments) if segments is not None else defaults.segments
-        ),
-        mode=mode if mode is not None else defaults.mode,
-        utility=(
-            _parse_utility(utility) if utility is not None else defaults.utility
-        ),
-        seed=_parse_int(seed, "seed", 0) if seed is not None else defaults.seed,
-        vocab_threshold=(
-            _parse_int(vocab_threshold, "vocab_threshold", 1)
-            if vocab_threshold is not None
-            else defaults.vocab_threshold
-        ),
-    )
+
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Resolve every option for the pipeline, reading --config if given."""
+    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    config = resolve(args, OPTIONS, file_values)
+    for name in ("src", "tgt"):
+        if not Path(getattr(config, name)).is_file():
+            raise ConfigError(f"{name} path does not exist: {getattr(config, name)}")
+    return config
 
 
 # ---------------------------------------------------------------- stages
@@ -347,7 +309,7 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
 
 
 def stage_augment(
-    out: Path, kinds: Sequence[augment.SegmentKind], mode: str
+    out: Path, segments: Sequence[augment.SegmentKind], mode: str
 ) -> None:
     src_sentences = corpus.read_sentences(out / SRC_BPE)
     tgt_sentences = corpus.read_sentences(out / TGT_BPE)
@@ -371,7 +333,7 @@ def stage_augment(
             src_sentences, tgt_sentences, lex_sentences, ali_sentences
         )
     ]
-    examples = augment.augment_corpus(segment_sets, kinds, mode)
+    examples = augment.augment_corpus(segment_sets, segments, mode)
     augment.write_augmented(
         examples, out / AUG_SRC, out / AUG_TGT, out / AUG_MANIFEST
     )
@@ -388,18 +350,29 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def config_sha256(config: PipelineConfig) -> str:
+def _config_strings(config: argparse.Namespace) -> dict[str, str]:
+    """The canonical string of every option, as the manifest records it."""
+    strings = {}
+    for name in OPTIONS:
+        value = getattr(config, name)
+        if isinstance(value, tuple):
+            value = ",".join(kind.name.lower() for kind in value)
+        strings[name] = str(value)
+    return strings
+
+
+def config_sha256(config: argparse.Namespace) -> str:
     canonical = "\n".join(
-        f"{key} = {value}" for key, value in sorted(config.as_strings().items())
+        f"{key} = {value}" for key, value in sorted(_config_strings(config).items())
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_run_manifest(config: PipelineConfig, out: Path) -> None:
+def write_run_manifest(config: argparse.Namespace, out: Path) -> None:
     manifest = {
         "tool": "lexali",
         "version": __version__,
-        "config": config.as_strings(),
+        "config": _config_strings(config),
         "config_sha256": config_sha256(config),
         "artifacts": {
             name: _sha256_file(out / name) for name in PIPELINE_ARTIFACTS
@@ -439,60 +412,24 @@ class _OutputLock:
 # ---------------------------------------------------------------- commands
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(out: str) -> Path:
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
-def cmd_align(args: argparse.Namespace) -> int:
-    if args.iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {args.iterations}")
-    stage_align(args.src, args.tgt, _out_dir(args), args.iterations)
-    return 0
+def _run_stage(command: str, config: argparse.Namespace, out: Path) -> None:
+    # looked up through the module globals, so that a wrapper installed on
+    # the module attribute is the function that runs
+    stage = globals()["stage_" + command.replace("-", "_")]
+    kwargs = {name: getattr(config, name) for name in STAGES[command][1]}
+    kwargs["out"] = out
+    stage(**kwargs)
 
 
-def cmd_symmetrize(args: argparse.Namespace) -> int:
-    stage_symmetrize(_out_dir(args))
-    return 0
-
-
-def cmd_lexicon(args: argparse.Namespace) -> int:
-    stage_lexicon(args.src, args.tgt, _out_dir(args))
-    return 0
-
-
-def cmd_lex(args: argparse.Namespace) -> int:
-    stage_lex(args.src, _out_dir(args))
-    return 0
-
-
-def cmd_ali(args: argparse.Namespace) -> int:
-    stage_ali(args.tgt, _out_dir(args))
-    return 0
-
-
-def cmd_bpe_learn(args: argparse.Namespace) -> int:
-    if args.merges < 0:
-        raise ConfigError(f"merges must be >= 0, got {args.merges}")
-    stage_bpe_learn(args.src, args.tgt, _out_dir(args), args.merges)
-    return 0
-
-
-def cmd_bpe_apply(args: argparse.Namespace) -> int:
-    if args.vocab_threshold < 1:
-        raise ConfigError(
-            f"vocab-threshold must be >= 1, got {args.vocab_threshold}"
-        )
-    stage_bpe_apply(args.src, args.tgt, _out_dir(args), args.vocab_threshold)
-    return 0
-
-
-def cmd_augment(args: argparse.Namespace) -> int:
-    kinds = _parse_segments(args.segments)
-    if args.mode not in ("simple", "full"):
-        raise ConfigError(f"mode must be 'simple' or 'full', got {args.mode!r}")
-    stage_augment(_out_dir(args), kinds, args.mode)
+def cmd_stage(args: argparse.Namespace) -> int:
+    config = resolve(args, STAGES[args.command][1], {})
+    _run_stage(args.command, config, _out_dir(config.out))
     return 0
 
 
@@ -559,25 +496,14 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stages: list[tuple[str, Callable[[], None]]] = [
-        ("align", lambda: stage_align(config.src, config.tgt, out, config.iterations)),
-        ("symmetrize", lambda: stage_symmetrize(out)),
-        ("lexicon", lambda: stage_lexicon(config.src, config.tgt, out)),
-        ("lex", lambda: stage_lex(config.src, out)),
-        ("ali", lambda: stage_ali(config.tgt, out)),
-        ("bpe-learn", lambda: stage_bpe_learn(config.src, config.tgt, out, config.merges)),
-        ("bpe-apply", lambda: stage_bpe_apply(config.src, config.tgt, out, config.vocab_threshold)),
-        ("augment", lambda: stage_augment(out, config.segments, config.mode)),
-    ]
+    out = _out_dir(config.out)
     with _OutputLock(out):
-        for name, run in stages:
-            print(f"[pipeline] {name}", file=sys.stderr)
+        for command in STAGES:
+            print(f"[pipeline] {command}", file=sys.stderr)
             try:
-                run()
+                _run_stage(command, config, out)
             except LexaliError as exc:
-                raise PipelineError(f"stage {name} failed: {exc}") from exc
+                raise PipelineError(f"stage {command} failed: {exc}") from exc
         write_run_manifest(config, out)
     return 0
 
@@ -600,44 +526,17 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler)
         return sub
 
-    sub = add("align", cmd_align, "train both translation tables and align")
-    sub.add_argument("--src", required=True)
-    sub.add_argument("--tgt", required=True)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--iterations", type=int, default=5)
+    def add_options(sub: argparse.ArgumentParser, names: Iterable[str]) -> None:
+        for name in names:
+            default = OPTIONS[name][1]
+            sub.add_argument(
+                "--" + name.replace("_", "-"),
+                dest=name,
+                help="required" if default is None else f"default: {default}",
+            )
 
-    sub = add("symmetrize", cmd_symmetrize, "intersect the two alignment files")
-    sub.add_argument("--out", required=True)
-
-    sub = add("lexicon", cmd_lexicon, "extract the bilingual lexicon")
-    sub.add_argument("--src", required=True)
-    sub.add_argument("--tgt", required=True)
-    sub.add_argument("--out", required=True)
-
-    sub = add("lex", cmd_lex, "translate the source word for word")
-    sub.add_argument("--src", required=True)
-    sub.add_argument("--out", required=True)
-
-    sub = add("ali", cmd_ali, "reorder the lex sequence into target order")
-    sub.add_argument("--tgt", required=True)
-    sub.add_argument("--out", required=True)
-
-    sub = add("bpe-learn", cmd_bpe_learn, "learn byte-pair merges")
-    sub.add_argument("--src", required=True)
-    sub.add_argument("--tgt", required=True)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--merges", type=int, default=500)
-
-    sub = add("bpe-apply", cmd_bpe_apply, "apply the learned merges everywhere")
-    sub.add_argument("--src", required=True)
-    sub.add_argument("--tgt", required=True)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--vocab-threshold", type=int, default=1)
-
-    sub = add("augment", cmd_augment, "emit permutation training examples")
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--segments", default="lex,ali,tgt")
-    sub.add_argument("--mode", default="full")
+    for command, (help_text, names) in STAGES.items():
+        add_options(add(command, cmd_stage, help_text), names)
 
     sub = add("extract", cmd_extract, "slice one segment out of decoded output")
     sub.add_argument("--input", required=True)
@@ -655,17 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ref", required=True)
 
     sub = add("pipeline", cmd_pipeline, "run every stage and write a manifest")
-    sub.add_argument("--config")
-    sub.add_argument("--src")
-    sub.add_argument("--tgt")
-    sub.add_argument("--out")
-    sub.add_argument("--iterations")
-    sub.add_argument("--merges")
-    sub.add_argument("--segments")
-    sub.add_argument("--mode")
-    sub.add_argument("--utility")
-    sub.add_argument("--seed")
-    sub.add_argument("--vocab-threshold", dest="vocab_threshold")
+    sub.add_argument("--config", help="file of 'key = value' lines; flags win")
+    add_options(sub, OPTIONS)
 
     return parser
 

@@ -156,7 +156,8 @@ def read_lexicon(path: str | Path) -> BilingualLexicon:
 
     The file stores winning entries only, so total_links is rebuilt as the
     sum of winning counts (a floor of the original corpus-wide total). Each
-    source word appears once, with a non-negative integer count.
+    source word appears once, with a non-empty target word and a
+    non-negative integer count.
     """
     entries: dict[str, tuple[str, int]] = {}
     total = 0
@@ -167,6 +168,8 @@ def read_lexicon(path: str | Path) -> BilingualLexicon:
                 f"{path}:{lineno}: expected 'source<TAB>target<TAB>count'"
             )
         src_word, tgt_word, count_text = parts
+        if not (src_word and tgt_word):
+            raise AlignmentError(f"{path}:{lineno}: empty source or target word")
         if not (count_text.isascii() and count_text.isdigit()):
             raise AlignmentError(
                 f"{path}:{lineno}: count {count_text!r} is not a "

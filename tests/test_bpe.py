@@ -197,3 +197,17 @@ def test_merge_file_bad_line(tmp_path):
     path.write_text("#version: x\na b c\n", encoding="utf-8")
     with pytest.raises(SegmentationError):
         bpe.read_merges(path)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [("a b\nc\n", r"merges\.txt:2: expected 'left right'"),
+     ("#version: x\na b\nc d\na b\n", r"merges\.txt:4: merge 'a b' listed twice"),
+     ("#version: x\n b\n", r"merges\.txt:2: empty symbol in ' b'")],
+    ids=["headerless-line-number", "repeated", "empty-symbol"],
+)
+def test_merge_file_line_rejected(tmp_path, text, message):
+    path = tmp_path / "merges.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SegmentationError, match=message):
+        bpe.read_merges(path)

@@ -83,8 +83,16 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "run.conf"
-        config.write_text("sneed = 1\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown key"):
+        # utility and seed were pipeline keys once; they are no longer read
+        for key in ("sneed", "utility", "seed"):
+            config.write_text(f"iterations = 3\n{key} = 1\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=rf"run\.conf:2: unknown key '{key}'"):
+                cli.read_config_file(config)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("iterations = 3\n\niterations = 4\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"run\.conf:3: key 'iterations' given twice"):
             cli.read_config_file(config)
 
     def test_missing_equals_rejected(self, tmp_path):
@@ -117,7 +125,6 @@ class TestConfig:
         assert resolved.iterations == 5
         assert resolved.merges == 500
         assert resolved.mode == "full"
-        assert resolved.utility == "chrf"
         assert [k.name.lower() for k in resolved.segments] == ["lex", "ali", "tgt"]
 
     def test_missing_required(self):
@@ -151,6 +158,39 @@ class TestConfig:
             cli._parse_int("five", "iterations", 1)
         with pytest.raises(ConfigError):
             cli._parse_int("0", "iterations", 1)
+
+
+# one bad value per option: the stage subcommand and the pipeline must fail
+# with the same exit code and the same message
+BOTH_SIDES = ["--src", data_path("toy.src"), "--tgt", data_path("toy.tgt")]
+BAD_VALUES = [
+    (["align", *BOTH_SIDES], "--iterations", "0", "iterations must be >= 1, got 0"),
+    (["align", *BOTH_SIDES], "--iterations", "five",
+     "iterations must be an integer, got 'five'"),
+    (["bpe-learn", *BOTH_SIDES], "--merges", "-1", "merges must be >= 0, got -1"),
+    (["bpe-apply", *BOTH_SIDES], "--vocab-threshold", "0",
+     "vocab_threshold must be >= 1, got 0"),
+    (["augment"], "--mode", "x", "mode must be 'simple' or 'full', got 'x'"),
+    (["augment"], "--segments", "lex", "segments must include tgt"),
+]
+
+
+@pytest.mark.parametrize(
+    ("stage", "flag", "value", "message"),
+    BAD_VALUES,
+    ids=[f"{flag[2:]}={value}" for _, flag, value, _ in BAD_VALUES],
+)
+def test_bad_value_same_error_on_stage_and_pipeline(
+    tmp_path, toy_args, capsys, stage, flag, value, message
+):
+    errors = []
+    for argv in (
+        [*stage, "--out", tmp_path / "stage", flag, value],
+        ["pipeline", *toy_args, flag, value],
+    ):
+        assert run(argv) == 1, argv
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: {message}\n"] * 2
 
 
 class TestPipeline:
@@ -191,6 +231,26 @@ class TestPipeline:
         artifacts = json.loads((out / cli.RUN_MANIFEST).read_text())["artifacts"]
         pinned = MINI_AUGMENTED[flags[1]]
         assert {name: artifacts[name] for name in pinned} == pinned
+
+    def test_config_file_equals_flags(self, tmp_path, toy_args):
+        settings = {"iterations": "3", "merges": "20", "segments": "tgt,lex",
+                    "mode": "simple", "vocab_threshold": "2"}
+        out = tmp_path / "run"
+        config = tmp_path / "run.conf"
+        config.write_text(
+            f"src = {data_path('toy.src')}\ntgt = {data_path('toy.tgt')}\n"
+            f"out = {out}\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()),
+            encoding="utf-8",
+        )
+        assert run(["pipeline", "--config", config]) == 0
+        names = [*cli.PIPELINE_ARTIFACTS, cli.RUN_MANIFEST]
+        from_file = {name: (out / name).read_bytes() for name in names}
+        flags = [a for k, v in settings.items() for a in ("--" + k.replace("_", "-"), v)]
+        assert run(["pipeline", *toy_args, *flags]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == from_file
+        config_section = json.loads(from_file[cli.RUN_MANIFEST])["config"]
+        assert config_section == {"src": data_path("toy.src"), "tgt": data_path("toy.tgt"),
+                                  "out": str(out), **settings}
 
     def test_pipeline_equals_chained_subcommands(self, tmp_path):
         src = data_path("toy.src")
@@ -242,8 +302,9 @@ class TestPipeline:
     @pytest.mark.parametrize(
         ("line", "message"),
         [("x\ty\tnotanint", "count 'notanint' is not a non-negative integer"),
-         ("buch\tZZZ\t1", "source word 'buch' listed twice")],
-        ids=["non-integer", "repeated"],
+         ("buch\tZZZ\t1", "source word 'buch' listed twice"),
+         ("buch\t\t1", "empty source or target word")],
+        ids=["non-integer", "repeated", "empty-target"],
     )
     def test_lex_bad_lexicon_line_names_file_and_line(
         self, tmp_path, toy_args, capsys, line, message

@@ -182,8 +182,10 @@ def test_lexicon_file_round_trip(tmp_path):
     ("line", "message"),
     [("buch\tbook\tnotanint", "count 'notanint' is not a non-negative integer"),
      ("buch\tbook\t-1", "count '-1' is not a non-negative integer"),
-     ("haus\tZZZ\t1", "source word 'haus' listed twice")],
-    ids=["non-integer", "negative", "repeated"],
+     ("haus\tZZZ\t1", "source word 'haus' listed twice"),
+     ("buch\t\t1", "empty source or target word"),
+     ("\tbook\t2", "empty source or target word")],
+    ids=["non-integer", "negative", "repeated", "empty-target", "empty-source"],
 )
 def test_lexicon_file_bad_line_rejected(tmp_path, line, message):
     path = tmp_path / "lexicon.tsv"
