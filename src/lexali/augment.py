@@ -23,7 +23,6 @@ manifest's control digits formatted once per order.
 from __future__ import annotations
 
 import itertools
-import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
@@ -34,8 +33,6 @@ from .corpus import Sentence
 from .errors import MarkerError, PermutationError
 
 Mode = Literal["simple", "full"]
-
-_CONTROL_RE = re.compile(r"<([1-3]{1,3})>")
 
 
 class SegmentKind(IntEnum):
@@ -55,8 +52,6 @@ class SegmentKind(IntEnum):
 
 
 MARKER_TOKENS = frozenset(kind.marker for kind in SegmentKind)
-
-_BY_DIGIT = {kind.digit: kind for kind in SegmentKind}
 
 
 @dataclass(frozen=True)
@@ -98,16 +93,6 @@ def control_token(order: Sequence[SegmentKind]) -> str:
     """Digit string naming a segment order, e.g. (ALI, LEX, TGT) -> "<213>"."""
     kinds = _check_order(order)
     return "<" + "".join(kind.digit for kind in kinds) + ">"
-
-
-def parse_control_token(token: str) -> tuple[SegmentKind, ...]:
-    match = _CONTROL_RE.fullmatch(token)
-    if match is None:
-        raise PermutationError(f"not a control token: {token!r}")
-    digits = match.group(1)
-    if len(set(digits)) != len(digits):
-        raise PermutationError(f"control token repeats a digit: {token!r}")
-    return tuple(_BY_DIGIT[d] for d in digits)
 
 
 def augment_corpus(

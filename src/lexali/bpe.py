@@ -15,10 +15,10 @@ rendered form is out of vocabulary are recursively split back into the two
 pieces they were merged from, until every piece is in vocabulary or is a
 single character.
 
-``undo_bpe(apply_bpe(s, table))`` is the identity for any sentence whose
-tokens do not end with the continuation marker; a raw token that already
-ends in ``@@`` is indistinguishable from a continuation piece once rendered,
-which is inherent to the marker convention.
+``undo_bpe(make_segmenter(table)(s))`` is the identity for any sentence
+whose tokens do not end with the continuation marker; a raw token that
+already ends in ``@@`` is indistinguishable from a continuation piece once
+rendered, which is inherent to the marker convention.
 """
 
 from __future__ import annotations
@@ -250,19 +250,6 @@ def split_word(
     for i, piece in enumerate(pieces):
         _emit(piece, i == last, vocab, threshold, CONTINUATION_MARKER, out)
     return out
-
-
-def apply_bpe(
-    sentence: Sentence,
-    table: MergeTable,
-    vocab: Mapping[str, int] | None = None,
-    threshold: int = 1,
-) -> Sentence:
-    """Segment every word of a sentence; token count never decreases."""
-    out: list[str] = []
-    for word in sentence:
-        out.extend(split_word(word, table, vocab, threshold))
-    return tuple(out)
 
 
 def make_segmenter(

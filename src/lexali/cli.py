@@ -86,6 +86,12 @@ def _parse_int(value: str, key: str, minimum: int) -> int:
     return parsed
 
 
+def _parse_path(value: str, key: str) -> str:
+    if not Path(value).is_file():
+        raise ConfigError(f"{key} path does not exist: {value}")
+    return value
+
+
 def _parse_segments(value: str) -> tuple[augment.SegmentKind, ...]:
     names = [part.strip() for part in value.split(",") if part.strip()]
     kinds = []
@@ -118,8 +124,8 @@ def _parse_utility(value: str) -> str:
 # string (None: required). The stage and pipeline flags, the config file keys
 # and the manifest's config section are all built from this table.
 OPTIONS: dict[str, tuple[Callable[[str], object], str | None]] = {
-    "src": (str, None),
-    "tgt": (str, None),
+    "src": (partial(_parse_path, key="src"), None),
+    "tgt": (partial(_parse_path, key="tgt"), None),
     "out": (str, None),
     "iterations": (partial(_parse_int, key="iterations", minimum=1), "5"),
     "merges": (partial(_parse_int, key="merges", minimum=0), "500"),
@@ -133,7 +139,7 @@ OPTIONS: dict[str, tuple[Callable[[str], object], str | None]] = {
 # looked up by name at call time.
 STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
     "align": ("train both translation tables and align", ("src", "tgt", "out", "iterations")),
-    "symmetrize": ("intersect the two alignment files", ("out",)),
+    "symmetrize": ("intersect the two alignment files", ("src", "tgt", "out")),
     "lexicon": ("extract the bilingual lexicon", ("src", "tgt", "out")),
     "lex": ("translate the source word for word", ("src", "out")),
     "ali": ("reorder the lex sequence into target order", ("tgt", "out")),
@@ -193,11 +199,7 @@ def resolve(
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Resolve every option for the pipeline, reading --config if given."""
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    config = resolve(args, OPTIONS, file_values)
-    for name in ("src", "tgt"):
-        if not Path(getattr(config, name)).is_file():
-            raise ConfigError(f"{name} path does not exist: {getattr(config, name)}")
-    return config
+    return resolve(args, OPTIONS, file_values)
 
 
 # ---------------------------------------------------------------- stages
@@ -217,14 +219,31 @@ def stage_align(src: str, tgt: str, out: Path, iterations: int) -> None:
         model1.write_alignments(alignments, out / align_name)
 
 
-def stage_symmetrize(out: Path) -> None:
+def _alignments(
+    path: Path, maps: list[dict[int, int]], lengths: Iterable[tuple[int, int]]
+) -> list[model1.DirectionalAlignment]:
+    """Each line's alignment from its map and its (emitted, conditioning)
+    lengths; a link out of range names path:line."""
+    alignments = []
+    for lineno, (link_map, line_lengths) in enumerate(zip(maps, lengths), start=1):
+        try:
+            alignments.append(model1.alignment_from_map(link_map, *line_lengths))
+        except AlignmentError as error:
+            raise AlignmentError(f"{path}:{lineno}: {error}") from error
+    return alignments
+
+
+def stage_symmetrize(src: str, tgt: str, out: Path) -> None:
+    pairs = corpus.load_parallel(src, tgt).pairs
     forward = model1.read_alignment_maps(out / ALIGN_T2S)
     backward = model1.read_alignment_maps(out / ALIGN_S2T)
-    if len(forward) != len(backward):
+    if not len(forward) == len(backward) == len(pairs):
         raise AlignmentError(
-            f"{ALIGN_T2S} has {len(forward)} lines, "
-            f"{ALIGN_S2T} has {len(backward)}"
+            f"line counts disagree: {ALIGN_T2S}={len(forward)}, "
+            f"{ALIGN_S2T}={len(backward)}, corpus={len(pairs)}"
         )
+    _alignments(out / ALIGN_T2S, forward, [(len(t), len(s)) for s, t in pairs])
+    _alignments(out / ALIGN_S2T, backward, [(len(s), len(t)) for s, t in pairs])
     links = [
         symmetrize.intersect_maps(f, b) for f, b in zip(forward, backward)
     ]
@@ -256,20 +275,13 @@ def stage_ali(tgt: str, out: Path) -> None:
             f"line counts disagree: {LEX_WORDS}={len(lex_sentences)}, "
             f"tgt={len(tgt_sentences)}, {ALIGN_T2S}={len(maps)}"
         )
-    out_sentences = []
-    for lineno, (lex, tgt_sentence, link_map) in enumerate(
-        zip(lex_sentences, tgt_sentences, maps), start=1
-    ):
-        try:
-            alignment = model1.alignment_from_map(
-                link_map, len(tgt_sentence), len(lex)
-            )
-        except AlignmentError as error:
-            raise AlignmentError(f"{out / ALIGN_T2S}:{lineno}: {error}") from error
-        out_sentences.append(
-            sequences.make_ali(lex, alignment, len(tgt_sentence))
-        )
-    corpus.write_sentences(out_sentences, out / ALI_WORDS)
+    lengths = [(len(t), len(lex)) for lex, t in zip(lex_sentences, tgt_sentences)]
+    alignments = _alignments(out / ALIGN_T2S, maps, lengths)
+    ali = [
+        sequences.make_ali(lex, alignment, len(alignment.links))
+        for lex, alignment in zip(lex_sentences, alignments)
+    ]
+    corpus.write_sentences(ali, out / ALI_WORDS)
 
 
 def stage_bpe_learn(src: str, tgt: str, out: Path, merges: int) -> None:
@@ -434,10 +446,7 @@ def cmd_stage(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    try:
-        kind = augment.SegmentKind[args.kind.upper()]
-    except KeyError:
-        raise ConfigError(f"unknown segment kind {args.kind!r}") from None
+    kind = augment.SegmentKind[args.kind.upper()]
     outputs = corpus.read_sentences(args.input)
     extracted: list[corpus.Sentence] = []
     missing = 0
@@ -499,7 +508,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out = _out_dir(config.out)
     with _OutputLock(out):
         for command in STAGES:
-            print(f"[pipeline] {command}", file=sys.stderr)
             try:
                 _run_stage(command, config, out)
             except LexaliError as exc:

@@ -11,7 +11,7 @@ can never collide with corpus content.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -27,25 +27,6 @@ class ParallelCorpus:
     """Line-aligned source/target sentences at the word level."""
 
     pairs: tuple[tuple[Sentence, Sentence], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[Sentence, Sentence]]:
-        return iter(self.pairs)
-
-    def side(self, side: Side) -> list[Sentence]:
-        """All sentences of one side, in corpus order."""
-        index = _side_index(side)
-        return [pair[index] for pair in self.pairs]
-
-
-def _side_index(side: Side) -> int:
-    if side == "source":
-        return 0
-    if side == "target":
-        return 1
-    raise ValueError(f"unknown side: {side!r}")
 
 
 def _decode(path: str | Path) -> str:
@@ -129,30 +110,21 @@ def load_parallel(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     return ParallelCorpus(pairs=tuple(pairs))
 
 
-def write_parallel(
-    corpus: ParallelCorpus, src_path: str | Path, tgt_path: str | Path
-) -> None:
-    write_sentences(corpus.side("source"), src_path)
-    write_sentences(corpus.side("target"), tgt_path)
-
-
-def build_vocab(
-    corpus: ParallelCorpus, side: Side, min_count: int = 1
-) -> dict[str, int]:
-    """Count word frequencies on one side, dropping words below min_count.
+def build_vocab(corpus: ParallelCorpus, side: Side) -> dict[str, int]:
+    """Count word frequencies on one side.
 
     Iteration order of the result is first-occurrence order, which keeps
     everything built on top of it deterministic.
     """
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    if side not in ("source", "target"):
+        raise ValueError(f"unknown side: {side!r}")
     if not corpus.pairs:
         raise CorpusFormatError("cannot build a vocabulary from an empty corpus")
-    index = _side_index(side)
+    index = 0 if side == "source" else 1
     counts: Counter[str] = Counter()
     for pair in corpus.pairs:
         counts.update(pair[index])
-    return {word: count for word, count in counts.items() if count >= min_count}
+    return dict(counts)
 
 
 def write_vocab(vocab: dict[str, int], path: str | Path) -> None:
@@ -162,26 +134,6 @@ def write_vocab(vocab: dict[str, int], path: str | Path) -> None:
         "".join(f"{token} {count}\n" for token, count in items),
         encoding="utf-8",
     )
-
-
-def read_vocab(path: str | Path) -> dict[str, int]:
-    """Load "token count" lines: each token once, with a non-negative
-    integer count."""
-    vocab: dict[str, int] = {}
-    for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
-        parts = line.split()
-        if len(parts) != 2:
-            raise CorpusFormatError(f"{path}:{lineno}: expected 'token count'")
-        token, count_text = parts
-        if not (count_text.isascii() and count_text.isdigit()):
-            raise CorpusFormatError(
-                f"{path}:{lineno}: count {count_text!r} is not a "
-                "non-negative integer"
-            )
-        if token in vocab:
-            raise CorpusFormatError(f"{path}:{lineno}: token {token!r} listed twice")
-        vocab[token] = int(count_text)
-    return vocab
 
 
 def merge_counts(*vocabs: dict[str, int]) -> dict[str, int]:

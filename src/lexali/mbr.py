@@ -137,18 +137,6 @@ def utility(hyp: Sentence, ref: Sentence, kind: UtilityKind) -> float:
     return pair(profile(hyp), profile(ref))[0]
 
 
-def chrf(hyp: Sentence, ref: Sentence) -> float:
-    return utility(hyp, ref, "chrf")
-
-
-def sentence_bleu(hyp: Sentence, ref: Sentence) -> float:
-    return utility(hyp, ref, "sentence_bleu")
-
-
-def exact_match(hyp: Sentence, ref: Sentence) -> float:
-    return utility(hyp, ref, "exact_match")
-
-
 def expected_utilities(
     pool: Sequence[Sentence], kind: UtilityKind
 ) -> list[float]:
@@ -182,11 +170,3 @@ def best_index(scores: Sequence[float]) -> int:
             best = i
     return best
 
-
-def mbr_select(
-    pool: Sequence[Sentence], kind: UtilityKind
-) -> tuple[int, Sentence]:
-    """Index and tokens of the expected-utility argmax; first of ties wins."""
-    scores = expected_utilities(pool, kind)
-    best = best_index(scores)
-    return best, tuple(pool[best])

@@ -29,8 +29,7 @@ runs and supported Python versions.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import truediv
 from pathlib import Path
@@ -42,7 +41,6 @@ from .errors import AlignmentError, CorpusFormatError
 Direction = Literal["tgt_to_src", "src_to_tgt"]
 
 NULL_WORD = "<NULL>"
-PROB_FLOOR = 1e-12
 
 TGT_TO_SRC: Direction = "tgt_to_src"
 SRC_TO_TGT: Direction = "src_to_tgt"
@@ -81,21 +79,6 @@ class DirectionalAlignment:
                 )
 
 
-def _check_direction(direction: str) -> Direction:
-    if direction not in (TGT_TO_SRC, SRC_TO_TGT):
-        raise ValueError(f"unknown direction: {direction!r}")
-    return direction  # type: ignore[return-value]
-
-
-def _oriented(
-    corpus: ParallelCorpus, direction: Direction
-) -> list[tuple[Sentence, Sentence]]:
-    """Pairs as (conditioning sentence, emitted sentence)."""
-    if direction == TGT_TO_SRC:
-        return [(src, tgt) for src, tgt in corpus.pairs]
-    return [(tgt, src) for src, tgt in corpus.pairs]
-
-
 def train_model1(
     corpus: ParallelCorpus, direction: Direction, iterations: int
 ) -> TranslationTable:
@@ -105,13 +88,18 @@ def train_model1(
     going into the last iteration, and a row for every conditioning word
     whose expected count is positive.
     """
-    _check_direction(direction)
+    if direction not in (TGT_TO_SRC, SRC_TO_TGT):
+        raise ValueError(f"unknown direction: {direction!r}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if not corpus.pairs:
         raise CorpusFormatError("cannot train on an empty corpus")
 
-    words, row_cells, layout = _intern_cells(_oriented(corpus, direction))
+    # (conditioning sentence, emitted sentence) pairs
+    pairs = corpus.pairs
+    if direction == SRC_TO_TGT:
+        pairs = tuple((tgt, src) for src, tgt in pairs)
+    words, row_cells, layout = _intern_cells(pairs)
     cell_rows: list[int] = []
     probs: list[float] = []
     for row, cells in enumerate(row_cells):
@@ -137,7 +125,7 @@ def train_model1(
 
 
 def _intern_cells(
-    pairs: list[tuple[Sentence, Sentence]],
+    pairs: Sequence[tuple[Sentence, Sentence]],
 ) -> tuple[list[str], list[dict[str, int]], list[Layout]]:
     """Number every co-occurring (conditioning, emitted) word pair.
 
@@ -223,24 +211,6 @@ def viterbi_align(
     )
 
 
-def log_likelihood(table: TranslationTable, corpus: ParallelCorpus) -> float:
-    """Corpus log-likelihood with a uniform link prior of 1/(l+1).
-
-    Token probabilities are floored at PROB_FLOOR before the log, so corpora
-    containing words the table has never seen stay finite.
-    """
-    total = 0.0
-    for conditioning, emitted in _oriented(corpus, table.direction):
-        candidates = (NULL_WORD, *conditioning)
-        prior = 1.0 / len(candidates)
-        for f in emitted:
-            p = 0.0
-            for e in candidates:
-                p += table.prob(e, f)
-            total += math.log(max(prior * p, PROB_FLOOR))
-    return total
-
-
 def write_table(table: TranslationTable, path: str | Path) -> None:
     """Write "conditioning emitted prob" lines sorted by the word pair.
 
@@ -254,19 +224,6 @@ def write_table(table: TranslationTable, path: str | Path) -> None:
     Path(path).write_text(
         "".join(line + "\n" for line in lines), encoding="utf-8"
     )
-
-
-def read_table(path: str | Path, direction: Direction) -> TranslationTable:
-    _check_direction(direction)
-    probs: dict[str, dict[str, float]] = {}
-    for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
-        parts = line.split(" ")
-        if len(parts) != 3:
-            raise AlignmentError(
-                f"{path}:{lineno}: expected 'conditioning emitted prob'"
-            )
-        probs.setdefault(parts[0], {})[parts[1]] = float(parts[2])
-    return TranslationTable(direction=direction, probs=probs)
 
 
 def write_alignments(
@@ -287,22 +244,34 @@ def write_alignments(
     )
 
 
-def read_alignment_maps(path: str | Path) -> list[dict[int, int]]:
-    """Parse Pharaoh lines into per-sentence maps of emitted position to
-    conditioning position."""
-    maps: list[dict[int, int]] = []
+def _read_pharaoh(path: str | Path) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Yield each line's number and its "i-j" cells as (i, j) pairs.
+
+    Both positions must be runs of ASCII digits; any other cell names
+    path:line. Rules on repeated positions belong to the callers.
+    """
     for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
-        links: dict[int, int] = {}
+        cells = []
         for cell in line.split():
             left, sep, right = cell.partition("-")
-            if not sep or not left.isdigit() or not right.isdigit():
+            if not (sep and cell.isascii() and left.isdigit() and right.isdigit()):
                 raise AlignmentError(f"{path}:{lineno}: bad link {cell!r}")
-            position = int(right)
-            if position in links:
+            cells.append((int(left), int(right)))
+        yield lineno, cells
+
+
+def read_alignment_maps(path: str | Path) -> list[dict[int, int]]:
+    """Parse Pharaoh lines into per-sentence maps of emitted position to
+    conditioning position; each emitted position appears at most once."""
+    maps: list[dict[int, int]] = []
+    for lineno, cells in _read_pharaoh(path):
+        links: dict[int, int] = {}
+        for conditioning, emitted in cells:
+            if emitted in links:
                 raise AlignmentError(
-                    f"{path}:{lineno}: emitted position {position} linked twice"
+                    f"{path}:{lineno}: emitted position {emitted} linked twice"
                 )
-            links[position] = int(left)
+            links[emitted] = conditioning
         maps.append(links)
     return maps
 
@@ -317,6 +286,6 @@ def alignment_from_map(
                 f"emitted length {emitted_length}"
             )
     return DirectionalAlignment(
-        links=tuple(links.get(j) for j in range(emitted_length)),
+        links=tuple(map(links.get, range(emitted_length))),
         conditioning_length=conditioning_length,
     )

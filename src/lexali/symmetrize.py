@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import ParallelCorpus, _decode, _split_lines
 from .errors import AlignmentError
-from .model1 import DirectionalAlignment
+from .model1 import _read_pharaoh
 
 Link = tuple[int, int]
 OneToOneAlignment = frozenset[Link]
@@ -37,37 +37,14 @@ class BilingualLexicon:
 def intersect_maps(
     tgt_to_src: Mapping[int, int], src_to_tgt: Mapping[int, int]
 ) -> OneToOneAlignment:
-    """Reciprocal links between two position maps, as (source, target)."""
+    """Reciprocal links of one sentence pair, as (source, target).
+
+    ``tgt_to_src`` maps target positions to source positions, as
+    ``model1.read_alignment_maps`` reads them; ``src_to_tgt`` the mirror.
+    """
     return frozenset(
         (i, j) for j, i in tgt_to_src.items() if src_to_tgt.get(i) == j
     )
-
-
-def intersect(
-    tgt_to_src: DirectionalAlignment, src_to_tgt: DirectionalAlignment
-) -> OneToOneAlignment:
-    """Intersect the two directional alignments of one sentence pair.
-
-    ``tgt_to_src`` holds one link per target position into the source;
-    ``src_to_tgt`` the mirror. Their lengths must describe the same pair.
-    """
-    if len(tgt_to_src.links) != src_to_tgt.conditioning_length:
-        raise AlignmentError(
-            f"target length disagrees: {len(tgt_to_src.links)} links vs "
-            f"conditioning length {src_to_tgt.conditioning_length}"
-        )
-    if len(src_to_tgt.links) != tgt_to_src.conditioning_length:
-        raise AlignmentError(
-            f"source length disagrees: {len(src_to_tgt.links)} links vs "
-            f"conditioning length {tgt_to_src.conditioning_length}"
-        )
-    forward = {
-        j: i for j, i in enumerate(tgt_to_src.links) if i is not None
-    }
-    backward = {
-        i: j for i, j in enumerate(src_to_tgt.links) if j is not None
-    }
-    return intersect_maps(forward, backward)
 
 
 def extract_lexicon(
@@ -118,14 +95,10 @@ def read_links(path: str | Path) -> list[OneToOneAlignment]:
     """Parse "i-j" lines; each source and each target position appears at
     most once per line, as intersection produces them."""
     alignments: list[OneToOneAlignment] = []
-    for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
+    for lineno, cells in _read_pharaoh(path):
         links: dict[int, int] = {}
         targets: set[int] = set()
-        for cell in line.split():
-            left, sep, right = cell.partition("-")
-            if not sep or not left.isdigit() or not right.isdigit():
-                raise AlignmentError(f"{path}:{lineno}: bad link {cell!r}")
-            i, j = int(left), int(right)
+        for i, j in cells:
             if i in links:
                 raise AlignmentError(
                     f"{path}:{lineno}: source position {i} linked twice"

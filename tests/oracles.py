@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -146,6 +147,26 @@ def em_loop_oracle(corpus, direction, iterations):
             if totals[e] > 0.0
         }
     return probs
+
+
+def log_likelihood(table, corpus):
+    """Corpus log-likelihood of a ``model1.TranslationTable`` under a uniform
+    link prior of 1/(l+1). Each token's probability is floored at FLOOR
+    before the log, so words the table has never seen stay finite."""
+    total = 0.0
+    for src, tgt in corpus.pairs:
+        if table.direction == "tgt_to_src":
+            conditioning, emitted = src, tgt
+        else:
+            conditioning, emitted = tgt, src
+        candidates = (NULL, *conditioning)
+        prior = 1.0 / len(candidates)
+        for f in emitted:
+            p = 0.0
+            for e in candidates:
+                p += table.prob(e, f)
+            total += math.log(max(prior * p, FLOOR))
+    return total
 
 
 # ------------------------------------------------------------ tokenizing
@@ -480,6 +501,22 @@ def _segment_of(segments, kind):
     if value is None:
         raise PermutationError(f"segment {kind.name.lower()} is not available")
     return value
+
+
+_CONTROL_RE = re.compile(r"<([1-3]{1,3})>")
+_BY_DIGIT = {kind.digit: kind for kind in SegmentKind}
+
+
+def parse_control_token(token):
+    """The segment order a control token names: the inverse of
+    ``augment.control_token``."""
+    match = _CONTROL_RE.fullmatch(token)
+    if match is None:
+        raise PermutationError(f"not a control token: {token!r}")
+    digits = match.group(1)
+    if len(set(digits)) != len(digits):
+        raise PermutationError(f"control token repeats a digit: {token!r}")
+    return tuple(_BY_DIGIT[d] for d in digits)
 
 
 def compose_target(segments, order):

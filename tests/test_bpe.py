@@ -89,12 +89,12 @@ class TestApply:
     def test_apply_sentence_token_count_never_decreases(self):
         table = low_lower_table()
         sentence = ("low", "lower", "lowest")
-        out = bpe.apply_bpe(sentence, table)
+        out = bpe.make_segmenter(table)(sentence)
         assert len(out) >= len(sentence)
         assert out == ("low", "lower", "low@@", "e@@", "s@@", "t")
 
     def test_empty_sentence(self):
-        assert bpe.apply_bpe((), low_lower_table()) == ()
+        assert bpe.make_segmenter(low_lower_table())(()) == ()
 
     def test_vocabulary_constrained_split_reverts_merges(self):
         table = bpe.MergeTable((("a", "b"), ("ab", "c")))
@@ -134,7 +134,8 @@ class TestApply:
         table = low_lower_table()
         segment = bpe.make_segmenter(table)
         sentence = ("lower", "low", "lower")
-        assert segment(sentence) == bpe.apply_bpe(sentence, table)
+        direct = [p for word in sentence for p in bpe.split_word(word, table)]
+        assert segment(sentence) == tuple(direct)
 
     def test_duplicate_merge_pair_rejected(self):
         with pytest.raises(SegmentationError):
@@ -155,7 +156,7 @@ class TestUndo:
     @given(sentence=st.lists(WORD, min_size=0, max_size=6).map(tuple))
     def test_round_trip_plain(self, sentence):
         table = low_lower_table()
-        assert bpe.undo_bpe(bpe.apply_bpe(sentence, table)) == sentence
+        assert bpe.undo_bpe(bpe.make_segmenter(table)(sentence)) == sentence
 
     @given(
         vocab=st.dictionaries(WORD, st.integers(1, 9), min_size=1, max_size=6),
@@ -164,7 +165,7 @@ class TestUndo:
     )
     def test_round_trip_learned_tables(self, vocab, merges, sentence):
         table = bpe.learn_bpe(vocab, merges)
-        assert bpe.undo_bpe(bpe.apply_bpe(sentence, table)) == sentence
+        assert bpe.undo_bpe(bpe.make_segmenter(table)(sentence)) == sentence
 
     @given(
         vocab=st.dictionaries(WORD, st.integers(1, 9), min_size=1, max_size=6),
@@ -178,7 +179,7 @@ class TestUndo:
         for word in vocab:
             for piece in bpe.split_word(word, table):
                 subword_vocab[piece] = subword_vocab.get(piece, 0) + 1
-        out = bpe.apply_bpe(sentence, table, subword_vocab, threshold)
+        out = bpe.make_segmenter(table, subword_vocab, threshold)(sentence)
         assert bpe.undo_bpe(out) == sentence
 
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -161,9 +162,11 @@ class TestConfig:
 
 
 # one bad value per option: the stage subcommand and the pipeline must fail
-# with the same exit code and the same message
+# with the same exit code and the same message, before creating --out
 BOTH_SIDES = ["--src", data_path("toy.src"), "--tgt", data_path("toy.tgt")]
 BAD_VALUES = [
+    (["align", "--tgt", data_path("toy.tgt")], "--src", data_path("none.src"),
+     f"src path does not exist: {data_path('none.src')}"),
     (["align", *BOTH_SIDES], "--iterations", "0", "iterations must be >= 1, got 0"),
     (["align", *BOTH_SIDES], "--iterations", "five",
      "iterations must be an integer, got 'five'"),
@@ -178,7 +181,7 @@ BAD_VALUES = [
 @pytest.mark.parametrize(
     ("stage", "flag", "value", "message"),
     BAD_VALUES,
-    ids=[f"{flag[2:]}={value}" for _, flag, value, _ in BAD_VALUES],
+    ids=[f"{flag[2:]}={Path(value).name}" for _, flag, value, _ in BAD_VALUES],
 )
 def test_bad_value_same_error_on_stage_and_pipeline(
     tmp_path, toy_args, capsys, stage, flag, value, message
@@ -191,6 +194,8 @@ def test_bad_value_same_error_on_stage_and_pipeline(
         assert run(argv) == 1, argv
         errors.append(capsys.readouterr().err)
     assert errors == [f"error: {message}\n"] * 2
+    assert not (tmp_path / "stage").exists()
+    assert not (tmp_path / "run").exists()
 
 
 class TestPipeline:
@@ -204,6 +209,10 @@ class TestPipeline:
         assert set(manifest["artifacts"]) == set(cli.PIPELINE_ARTIFACTS)
         assert all(len(v) == 64 for v in manifest["artifacts"].values())
         assert not (out / cli.LOCK_FILE).exists()
+
+    def test_success_leaves_stderr_empty(self, tmp_path, toy_args, capsys):
+        assert run(["pipeline", *toy_args]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_rerun_is_byte_identical(self, tmp_path, toy_args):
         run(["pipeline", *toy_args])
@@ -260,7 +269,7 @@ class TestPipeline:
         run(["pipeline", "--src", src, "--tgt", tgt, "--out", a])
         for argv in (
             ["align", "--src", src, "--tgt", tgt, "--out", b],
-            ["symmetrize", "--out", b],
+            ["symmetrize", "--src", src, "--tgt", tgt, "--out", b],
             ["lexicon", "--src", src, "--tgt", tgt, "--out", b],
             ["lex", "--src", src, "--out", b],
             ["ali", "--tgt", tgt, "--out", b],
@@ -298,6 +307,22 @@ class TestPipeline:
         assert run(["ali", "--tgt", data_path("toy.tgt"), "--out", out]) == 1
         err = capsys.readouterr().err
         assert f"{cli.ALIGN_T2S}:2: link 9 out of range" in err
+
+    @pytest.mark.parametrize(
+        ("name", "line", "message"),
+        [(cli.ALIGN_T2S, "9-0 1-1", "link 9 out of range for conditioning length 2"),
+         (cli.ALIGN_S2T, "9-0 1-1", "link 9 out of range for conditioning length 2"),
+         (cli.ALIGN_T2S, "0-9", "link to emitted position 9 out of range")],
+        ids=["tgt_to_src", "src_to_tgt", "emitted"],
+    )
+    def test_symmetrize_out_of_range_link_names_file_and_line(
+        self, tmp_path, toy_args, capsys, name, line, message
+    ):
+        out = tmp_path / "run"
+        assert run(["pipeline", *toy_args]) == 0
+        (out / name).write_text(f"0-0 1-1\n{line}\n", encoding="utf-8")
+        assert run(["symmetrize", *toy_args]) == 1
+        assert f"{out / name}:2: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("line", "message"),
@@ -409,4 +434,4 @@ def test_missing_input_file_exits_cleanly(tmp_path, capsys):
         "align", "--src", tmp_path / "none.src",
         "--tgt", tmp_path / "none.tgt", "--out", tmp_path,
     ]) == 1
-    assert "cannot read" in capsys.readouterr().err
+    assert "src path does not exist" in capsys.readouterr().err

@@ -77,33 +77,33 @@ class TestUtilities:
         assert mbr.utility(("a",), (), kind) == 0.0
 
     def test_chrf_disjoint_characters_zero(self):
-        assert mbr.chrf(("abc",), ("xyz",)) == 0.0
-        assert mbr.chrf(("a",), ("b",)) == 0.0
+        assert mbr.utility(("abc",), ("xyz",), "chrf") == 0.0
+        assert mbr.utility(("a",), ("b",), "chrf") == 0.0
 
     def test_chrf_frozen_value(self):
         hyp, ref = ("the", "cat"), ("the", "cat", "sat")
-        assert mbr.chrf(hyp, ref) == pytest.approx(CHRF_THE_CAT, abs=1e-6)
-        assert mbr.chrf(hyp, ref) == pytest.approx(
+        assert mbr.utility(hyp, ref, "chrf") == pytest.approx(CHRF_THE_CAT, abs=1e-6)
+        assert mbr.utility(hyp, ref, "chrf") == pytest.approx(
             chrf_oracle(hyp, ref), abs=1e-6
         )
 
     def test_chrf_short_string_identity(self):
         # fewer than 6 characters: only the supported orders are averaged
-        assert mbr.chrf(("ab",), ("ab",)) == 1.0
+        assert mbr.utility(("ab",), ("ab",), "chrf") == 1.0
 
     def test_sentence_bleu_brevity_only_case(self):
         # all smoothed precisions are 1, leaving just the brevity penalty
-        value = mbr.sentence_bleu(("the", "cat"), ("the", "cat", "sat"))
+        value = mbr.utility(("the", "cat"), ("the", "cat", "sat"), "sentence_bleu")
         assert value == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_sentence_bleu_clipping(self):
-        value = mbr.sentence_bleu(("the", "the"), ("the",))
+        value = mbr.utility(("the", "the"), ("the",), "sentence_bleu")
         expected = math.exp((math.log(2 / 3) + math.log(1 / 2)) / 4)
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_exact_match(self):
-        assert mbr.exact_match(("a", "b"), ("a", "b")) == 1.0
-        assert mbr.exact_match(("a", "b"), ("a",)) == 0.0
+        assert mbr.utility(("a", "b"), ("a", "b"), "exact_match") == 1.0
+        assert mbr.utility(("a", "b"), ("a",), "exact_match") == 0.0
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bounds_on_fuzzed_pairs(self, kind):
@@ -129,24 +129,28 @@ class TestUtilities:
             mbr.utility(("a",), ("a",), "rouge")
 
 
+def select(pool, kind):
+    """The consensus pick as ``lexali mbr`` makes it: index and tokens."""
+    index = mbr.best_index(mbr.expected_utilities(pool, kind))
+    return index, tuple(pool[index])
+
+
 class TestSelection:
     def test_single_candidate(self):
-        assert mbr.mbr_select([("a",)], "chrf") == (0, ("a",))
+        assert select([("a",)], "chrf") == (0, ("a",))
 
     def test_modal_candidate_wins_exact_match(self):
         pool = [("a", "b"), ("a", "b"), ("c",)]
-        index, winner = mbr.mbr_select(pool, "exact_match")
+        index, winner = select(pool, "exact_match")
         assert index == 0
         assert winner == ("a", "b")
 
     def test_tie_takes_smallest_index(self):
         pool = [("a",), ("b",)]
-        index, _ = mbr.mbr_select(pool, "exact_match")
+        index, _ = select(pool, "exact_match")
         assert index == 0
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ScoringError):
-            mbr.mbr_select([], "chrf")
         with pytest.raises(ScoringError):
             mbr.expected_utilities([], "chrf")
 
@@ -157,7 +161,7 @@ class TestSelection:
                 pool = [random_sentence(rng) for _ in range(rng.randint(1, 6))]
                 scores = mbr.expected_utilities(pool, kind)
                 assert all(0.0 <= s <= 1.0 for s in scores)
-                index, _ = mbr.mbr_select(pool, kind)
+                index, _ = select(pool, kind)
                 assert scores[index] >= 1.0 / len(pool) - 1e-12
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -165,7 +169,7 @@ class TestSelection:
         rng = random.Random(58)
         for _ in range(60):
             pool = [random_sentence(rng) for _ in range(rng.randint(1, 8))]
-            index, winner = mbr.mbr_select(pool, kind)
+            index, winner = select(pool, kind)
             oracle_index, oracle_winner, oracle_scores = mbr_oracle(
                 pool, ORACLES[kind]
             )
@@ -191,17 +195,17 @@ class TestSelection:
         for kind in KINDS:
             for _ in range(40):
                 pool = [random_sentence(rng) for _ in range(rng.randint(1, 6))]
-                _, winner = mbr.mbr_select(pool, kind)
-                _, winner_after = mbr.mbr_select(pool + [winner], kind)
+                _, winner = select(pool, kind)
+                _, winner_after = select(pool + [winner], kind)
                 assert winner_after == winner
 
     def test_shuffling_preserves_selected_string_on_unique_maximum(self):
         # "aa ab" dominates this pool under chrF; its score is unique
         pool = [("aa", "ab"), ("aa", "ab"), ("zz",)]
-        _, winner = mbr.mbr_select(pool, "chrf")
+        _, winner = select(pool, "chrf")
         for shuffled in (
             [("zz",), ("aa", "ab"), ("aa", "ab")],
             [("aa", "ab"), ("zz",), ("aa", "ab")],
         ):
-            _, other = mbr.mbr_select(shuffled, "chrf")
+            _, other = select(shuffled, "chrf")
             assert other == winner

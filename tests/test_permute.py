@@ -15,11 +15,15 @@ from lexali.augment import (
     augment_corpus,
     control_token,
     extract_segment,
-    parse_control_token,
     write_augmented,
 )
 from lexali.errors import MarkerError, PermutationError
-from oracles import augment_loop_oracle, compose_target, write_augmented_oracle
+from oracles import (
+    augment_loop_oracle,
+    compose_target,
+    parse_control_token,
+    write_augmented_oracle,
+)
 
 LEX, ALI, TGT = SegmentKind.LEX, SegmentKind.ALI, SegmentKind.TGT
 

@@ -1,57 +1,43 @@
-"""Intersection symmetrization and lexicon extraction."""
+"""Intersection symmetrization, lexicon extraction, and the Pharaoh link
+files both directions and the intersection are stored in."""
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from lexali import symmetrize
+from lexali import model1, symmetrize
 from lexali.corpus import ParallelCorpus
 from lexali.errors import AlignmentError
-from lexali.model1 import DirectionalAlignment
 from oracles import intersect_oracle, lexicon_oracle
 
 
-def alignment(links, conditioning_length):
-    return DirectionalAlignment(
-        links=tuple(links), conditioning_length=conditioning_length
-    )
-
-
-def random_direction(rng, emitted_length, conditioning_length):
-    links = tuple(
+def random_links(rng, emitted_length, conditioning_length):
+    """One directional alignment: per emitted position a link or None."""
+    return tuple(
         rng.choice([None] + list(range(conditioning_length)))
         for _ in range(emitted_length)
     )
-    return alignment(links, conditioning_length)
+
+
+def as_map(links):
+    return {j: i for j, i in enumerate(links) if i is not None}
 
 
 def test_reciprocal_links_survive():
-    t2s = alignment((0, 1, None), conditioning_length=2)
-    s2t = alignment((0, 1), conditioning_length=3)
-    assert symmetrize.intersect(t2s, s2t) == {(0, 0), (1, 1)}
+    assert symmetrize.intersect_maps({0: 0, 1: 1}, {0: 0, 1: 1}) == {(0, 0), (1, 1)}
 
 
 def test_disagreeing_links_drop():
-    # target 0 points at source 1; source 1 points back at target 0
-    t2s = alignment((1, None), conditioning_length=2)
-    s2t = alignment((None, 0), conditioning_length=2)
-    assert symmetrize.intersect(t2s, s2t) == {(1, 0)}
+    # target 0 points at source 1 and source 1 back at target 0; source 0
+    # points at target 1, which points nowhere
+    assert symmetrize.intersect_maps({0: 1}, {0: 1, 1: 0}) == {(1, 0)}
 
 
 def test_empty_when_no_agreement():
-    t2s = alignment((0,), conditioning_length=1)
-    s2t = alignment((None,), conditioning_length=1)
-    assert symmetrize.intersect(t2s, s2t) == frozenset()
-
-
-def test_length_consistency_enforced():
-    t2s = alignment((0, 1), conditioning_length=2)
-    s2t = alignment((0,), conditioning_length=2)
-    with pytest.raises(AlignmentError):
-        symmetrize.intersect(t2s, s2t)
-    s2t = alignment((0, 1), conditioning_length=3)
-    with pytest.raises(AlignmentError):
-        symmetrize.intersect(t2s, s2t)
+    assert symmetrize.intersect_maps({0: 0}, {}) == frozenset()
 
 
 def test_fuzzed_equals_naive_set_intersection_and_is_one_to_one():
@@ -59,10 +45,10 @@ def test_fuzzed_equals_naive_set_intersection_and_is_one_to_one():
     for _ in range(300):
         src_len = rng.randint(1, 7)
         tgt_len = rng.randint(1, 7)
-        t2s = random_direction(rng, tgt_len, src_len)
-        s2t = random_direction(rng, src_len, tgt_len)
-        links = symmetrize.intersect(t2s, s2t)
-        assert links == intersect_oracle(t2s.links, s2t.links)
+        t2s = random_links(rng, tgt_len, src_len)
+        s2t = random_links(rng, src_len, tgt_len)
+        links = symmetrize.intersect_maps(as_map(t2s), as_map(s2t))
+        assert links == intersect_oracle(t2s, s2t)
         sources = [i for i, _ in links]
         targets = [j for _, j in links]
         assert len(set(sources)) == len(sources)
@@ -74,10 +60,10 @@ def test_swapping_directions_transposes_the_result():
     for _ in range(100):
         src_len = rng.randint(1, 6)
         tgt_len = rng.randint(1, 6)
-        t2s = random_direction(rng, tgt_len, src_len)
-        s2t = random_direction(rng, src_len, tgt_len)
-        forward = symmetrize.intersect(t2s, s2t)
-        swapped = symmetrize.intersect(s2t, t2s)
+        t2s = as_map(random_links(rng, tgt_len, src_len))
+        s2t = as_map(random_links(rng, src_len, tgt_len))
+        forward = symmetrize.intersect_maps(t2s, s2t)
+        swapped = symmetrize.intersect_maps(s2t, t2s)
         assert swapped == {(j, i) for i, j in forward}
 
 
@@ -152,6 +138,85 @@ def test_links_file_round_trip(tmp_path):
     symmetrize.write_links(alignments, path)
     assert path.read_text(encoding="utf-8") == "0-1 1-0\n\n"
     assert symmetrize.read_links(path) == alignments
+
+
+# a cell that is not two runs of ASCII digits joined by "-"; "1-²" and
+# "1-１" pass str.isdigit, and int() reads the second as 1
+BAD_CELL = st.text(alphabet="0123456789-²１٣x+", min_size=1, max_size=6).filter(
+    lambda cell: re.fullmatch(r"[0-9]+-[0-9]+", cell) is None
+)
+POSITION = st.integers(0, 120)
+
+
+def assert_bad_cell_rejected(read, path, lines, line_index, cell):
+    """Append the cell to one line of a valid file; the reader must name
+    that file and line."""
+    lines = list(lines)
+    lines[line_index] += " " + cell
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    message = re.escape(f"{path}:{line_index + 1}: bad link {cell!r}")
+    with pytest.raises(AlignmentError, match=message):
+        read(path)
+
+
+@st.composite
+def directional_alignments(draw):
+    length = draw(st.integers(0, 120))
+    position = st.integers(0, length - 1) if length else st.nothing()
+    links = draw(st.lists(st.none() | position, max_size=8))
+    return model1.DirectionalAlignment(tuple(links), length)
+
+
+@given(
+    alignments=st.lists(directional_alignments(), min_size=1, max_size=5),
+    line_index=st.integers(0, 4),
+    cell=BAD_CELL,
+)
+@example(alignments=[model1.DirectionalAlignment((1,), 2)], line_index=0, cell="1-²")
+@example(alignments=[model1.DirectionalAlignment((1,), 2)], line_index=0, cell="1-１")
+def test_alignment_file_round_trip_and_bad_cell(
+    tmp_path_factory, alignments, line_index, cell
+):
+    path = tmp_path_factory.mktemp("pharaoh") / "align.txt"
+    model1.write_alignments(alignments, path)
+    maps = model1.read_alignment_maps(path)
+    assert maps == [as_map(alignment.links) for alignment in alignments]
+    for link_map, alignment in zip(maps, alignments):
+        rebuilt = model1.alignment_from_map(
+            link_map, len(alignment.links), alignment.conditioning_length
+        )
+        assert rebuilt == alignment
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert_bad_cell_rejected(
+        model1.read_alignment_maps, path, lines, line_index % len(lines), cell
+    )
+
+
+@given(
+    alignments=st.lists(
+        st.lists(
+            st.tuples(POSITION, POSITION),
+            max_size=8,
+            unique_by=(lambda link: link[0], lambda link: link[1]),
+        ).map(frozenset),
+        min_size=1,
+        max_size=5,
+    ),
+    line_index=st.integers(0, 4),
+    cell=BAD_CELL,
+)
+@example(alignments=[frozenset({(0, 1)})], line_index=0, cell="1-²")
+@example(alignments=[frozenset({(0, 1)})], line_index=0, cell="1-１")
+def test_links_file_round_trip_and_bad_cell(
+    tmp_path_factory, alignments, line_index, cell
+):
+    path = tmp_path_factory.mktemp("pharaoh") / "links.txt"
+    symmetrize.write_links(alignments, path)
+    assert symmetrize.read_links(path) == alignments
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert_bad_cell_rejected(
+        symmetrize.read_links, path, lines, line_index % len(lines), cell
+    )
 
 
 @pytest.mark.parametrize(
