@@ -22,9 +22,9 @@ from pathlib import Path
 
 from . import __version__, augment, bleu, bpe, corpus, mbr, model1, sequences, symmetrize
 from .errors import (
-    AlignmentError,
     ConfigError,
     LexaliError,
+    MarkerError,
     PipelineError,
     ScoringError,
 )
@@ -87,8 +87,11 @@ def _parse_int(value: str, key: str, minimum: int) -> int:
 
 
 def _parse_path(value: str, key: str) -> str:
-    if not Path(value).is_file():
+    path = Path(value)
+    if not path.exists():
         raise ConfigError(f"{key} path does not exist: {value}")
+    if not path.is_file():
+        raise ConfigError(f"{key} path is not a file: {value}")
     return value
 
 
@@ -219,31 +222,14 @@ def stage_align(src: str, tgt: str, out: Path, iterations: int) -> None:
         model1.write_alignments(alignments, out / align_name)
 
 
-def _alignments(
-    path: Path, maps: list[dict[int, int]], lengths: Iterable[tuple[int, int]]
-) -> list[model1.DirectionalAlignment]:
-    """Each line's alignment from its map and its (emitted, conditioning)
-    lengths; a link out of range names path:line."""
-    alignments = []
-    for lineno, (link_map, line_lengths) in enumerate(zip(maps, lengths), start=1):
-        try:
-            alignments.append(model1.alignment_from_map(link_map, *line_lengths))
-        except AlignmentError as error:
-            raise AlignmentError(f"{path}:{lineno}: {error}") from error
-    return alignments
-
-
 def stage_symmetrize(src: str, tgt: str, out: Path) -> None:
     pairs = corpus.load_parallel(src, tgt).pairs
-    forward = model1.read_alignment_maps(out / ALIGN_T2S)
-    backward = model1.read_alignment_maps(out / ALIGN_S2T)
-    if not len(forward) == len(backward) == len(pairs):
-        raise AlignmentError(
-            f"line counts disagree: {ALIGN_T2S}={len(forward)}, "
-            f"{ALIGN_S2T}={len(backward)}, corpus={len(pairs)}"
-        )
-    _alignments(out / ALIGN_T2S, forward, [(len(t), len(s)) for s, t in pairs])
-    _alignments(out / ALIGN_S2T, backward, [(len(s), len(t)) for s, t in pairs])
+    forward = model1.read_alignment_maps(
+        out / ALIGN_T2S, [(len(s), len(t)) for s, t in pairs]
+    )
+    backward = model1.read_alignment_maps(
+        out / ALIGN_S2T, [(len(t), len(s)) for s, t in pairs]
+    )
     links = [
         symmetrize.intersect_maps(f, b) for f, b in zip(forward, backward)
     ]
@@ -252,7 +238,9 @@ def stage_symmetrize(src: str, tgt: str, out: Path) -> None:
 
 def stage_lexicon(src: str, tgt: str, out: Path) -> None:
     pair_corpus = corpus.load_parallel(src, tgt)
-    links = symmetrize.read_links(out / ALIGN_INTERSECT)
+    links = symmetrize.read_links(
+        out / ALIGN_INTERSECT, [(len(s), len(t)) for s, t in pair_corpus.pairs]
+    )
     lexicon = symmetrize.extract_lexicon(pair_corpus, links)
     symmetrize.write_lexicon(lexicon, out / LEXICON)
 
@@ -269,17 +257,18 @@ def stage_lex(src: str, out: Path) -> None:
 def stage_ali(tgt: str, out: Path) -> None:
     lex_sentences = corpus.read_sentences(out / LEX_WORDS)
     tgt_sentences = corpus.load_sentences(tgt)
-    maps = model1.read_alignment_maps(out / ALIGN_T2S)
-    if not len(lex_sentences) == len(tgt_sentences) == len(maps):
+    if len(lex_sentences) != len(tgt_sentences):
         raise PipelineError(
             f"line counts disagree: {LEX_WORDS}={len(lex_sentences)}, "
-            f"tgt={len(tgt_sentences)}, {ALIGN_T2S}={len(maps)}"
+            f"tgt={len(tgt_sentences)}"
         )
-    lengths = [(len(t), len(lex)) for lex, t in zip(lex_sentences, tgt_sentences)]
-    alignments = _alignments(out / ALIGN_T2S, maps, lengths)
+    alignments = model1.read_alignment_maps(
+        out / ALIGN_T2S,
+        [(len(lex), len(t)) for lex, t in zip(lex_sentences, tgt_sentences)],
+    )
     ali = [
-        sequences.make_ali(lex, alignment, len(alignment.links))
-        for lex, alignment in zip(lex_sentences, alignments)
+        sequences.make_ali(lex, links)
+        for lex, links in zip(lex_sentences, alignments)
     ]
     corpus.write_sentences(ali, out / ALI_WORDS)
 
@@ -450,8 +439,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
     outputs = corpus.read_sentences(args.input)
     extracted: list[corpus.Sentence] = []
     missing = 0
-    for sentence in outputs:
-        segment = augment.extract_segment(sentence, kind)
+    for lineno, sentence in enumerate(outputs, start=1):
+        try:
+            segment = augment.extract_segment(sentence, kind)
+        except MarkerError as error:
+            raise MarkerError(f"{args.input}:{lineno}: {error}") from error
         if segment is None:
             missing += 1
             segment = ()

@@ -6,6 +6,11 @@ Viterbi alignment maps every *target* position to a source position or NULL.
 ``src_to_tgt`` is the mirror image. Every conditioning sentence is extended
 with a NULL word so that unexplained emitted words have somewhere to go.
 
+A directional alignment of one sentence pair is ``Links``: one conditioning
+position, or None for NULL, per emitted position. Every stage passes it on
+as is; positions read from a Pharaoh file are checked once, in
+``_read_pharaoh``, against the lengths of the sentences the file belongs to.
+
 Training is plain sequential EM. The translation table is initialized
 uniformly over the emitted words each conditioning word co-occurs with, the
 E-step distributes one unit of count per emitted token proportionally to the
@@ -45,6 +50,8 @@ NULL_WORD = "<NULL>"
 TGT_TO_SRC: Direction = "tgt_to_src"
 SRC_TO_TGT: Direction = "src_to_tgt"
 
+Links = tuple[int | None, ...]
+
 # one sentence pair: candidate row ids, then per emitted token its cell ids
 Layout = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
@@ -61,22 +68,6 @@ class TranslationTable:
         if row is None:
             return 0.0
         return row.get(emitted, 0.0)
-
-
-@dataclass(frozen=True)
-class DirectionalAlignment:
-    """One link per emitted position; None marks a NULL link."""
-
-    links: tuple[int | None, ...]
-    conditioning_length: int
-
-    def __post_init__(self) -> None:
-        for link in self.links:
-            if link is not None and not 0 <= link < self.conditioning_length:
-                raise AlignmentError(
-                    f"link {link} out of range for conditioning length "
-                    f"{self.conditioning_length}"
-                )
 
 
 def train_model1(
@@ -183,7 +174,7 @@ def _expected_counts(
 
 def viterbi_align(
     table: TranslationTable, pair: tuple[Sentence, Sentence]
-) -> DirectionalAlignment:
+) -> Links:
     """Most probable link per emitted position under the table.
 
     Ties on a positive probability go to the smallest conditioning position;
@@ -206,9 +197,7 @@ def viterbi_align(
                 best_i = i
                 best_p = p
         links.append(best_i)
-    return DirectionalAlignment(
-        links=tuple(links), conditioning_length=len(conditioning)
-    )
+    return tuple(links)
 
 
 def write_table(table: TranslationTable, path: str | Path) -> None:
@@ -226,66 +215,73 @@ def write_table(table: TranslationTable, path: str | Path) -> None:
     )
 
 
-def write_alignments(
-    alignments: Iterable[DirectionalAlignment], path: str | Path
-) -> None:
+def write_alignments(alignments: Iterable[Links], path: str | Path) -> None:
     """One Pharaoh-style line per sentence: "i-j" pairs with the
     conditioning position first; NULL links are omitted."""
     lines = []
-    for alignment in alignments:
-        cells = [
-            f"{i}-{j}"
-            for j, i in enumerate(alignment.links)
-            if i is not None
-        ]
+    for links in alignments:
+        cells = [f"{i}-{j}" for j, i in enumerate(links) if i is not None]
         lines.append(" ".join(cells))
     Path(path).write_text(
         "".join(line + "\n" for line in lines), encoding="utf-8"
     )
 
 
-def _read_pharaoh(path: str | Path) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+def _read_pharaoh(
+    path: str | Path,
+    lengths: Sequence[tuple[int, int]],
+    sides: tuple[str, str] = ("conditioning", "emitted"),
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Yield each line's number and its "i-j" cells as (i, j) pairs.
 
-    Both positions must be runs of ASCII digits; any other cell names
-    path:line. Rules on repeated positions belong to the callers.
+    ``lengths`` holds one (i, j) bound pair per expected line, and ``sides``
+    names the two positions in messages. A line count other than
+    len(lengths) names the file; a cell that is not two runs of ASCII digits,
+    or a position at or past its bound, names path:line. Rules on repeated
+    positions belong to the callers.
     """
-    for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
+    lines = _split_lines(_decode(path))
+    if len(lines) != len(lengths):
+        raise AlignmentError(
+            f"{path}: {len(lines)} lines for {len(lengths)} sentence pairs"
+        )
+    left, right = sides
+    for lineno, (line, (i_bound, j_bound)) in enumerate(zip(lines, lengths), start=1):
         cells = []
         for cell in line.split():
-            left, sep, right = cell.partition("-")
-            if not (sep and cell.isascii() and left.isdigit() and right.isdigit()):
+            i_text, sep, j_text = cell.partition("-")
+            if not (sep and cell.isascii() and i_text.isdigit() and j_text.isdigit()):
                 raise AlignmentError(f"{path}:{lineno}: bad link {cell!r}")
-            cells.append((int(left), int(right)))
+            i = int(i_text)
+            j = int(j_text)
+            if i >= i_bound:
+                raise AlignmentError(
+                    f"{path}:{lineno}: link {i} out of range for {left} "
+                    f"length {i_bound}"
+                )
+            if j >= j_bound:
+                raise AlignmentError(
+                    f"{path}:{lineno}: link to {right} position {j} out of "
+                    f"range for {right} length {j_bound}"
+                )
+            cells.append((i, j))
         yield lineno, cells
 
 
-def read_alignment_maps(path: str | Path) -> list[dict[int, int]]:
-    """Parse Pharaoh lines into per-sentence maps of emitted position to
-    conditioning position; each emitted position appears at most once."""
-    maps: list[dict[int, int]] = []
-    for lineno, cells in _read_pharaoh(path):
-        links: dict[int, int] = {}
+def read_alignment_maps(
+    path: str | Path, lengths: Sequence[tuple[int, int]]
+) -> list[Links]:
+    """Parse a directional Pharaoh file, one (conditioning, emitted) length
+    pair per line, back into links; each emitted position appears at most
+    once per line."""
+    alignments: list[Links] = []
+    for lineno, cells in _read_pharaoh(path, lengths):
+        links: list[int | None] = [None] * lengths[lineno - 1][1]
         for conditioning, emitted in cells:
-            if emitted in links:
+            if links[emitted] is not None:
                 raise AlignmentError(
                     f"{path}:{lineno}: emitted position {emitted} linked twice"
                 )
             links[emitted] = conditioning
-        maps.append(links)
-    return maps
-
-
-def alignment_from_map(
-    links: dict[int, int], emitted_length: int, conditioning_length: int
-) -> DirectionalAlignment:
-    for position in links:
-        if not 0 <= position < emitted_length:
-            raise AlignmentError(
-                f"link to emitted position {position} out of range for "
-                f"emitted length {emitted_length}"
-            )
-    return DirectionalAlignment(
-        links=tuple(map(links.get, range(emitted_length))),
-        conditioning_length=conditioning_length,
-    )
+        alignments.append(tuple(links))
+    return alignments

@@ -5,14 +5,15 @@ copying words the lexicon does not cover, so it is monotonic with the source
 and has the same length. ``ali`` reorders that lex sequence into target
 order: target positions are walked in ascending order and each one pulls in
 the lex word its alignment link points at, so a lex word may appear several
-times and NULL-linked target positions contribute nothing.
+times and NULL-linked target positions contribute nothing. The links are
+``model1.Links`` as ``model1.read_alignment_maps`` reads them, already checked
+against the lex length.
 """
 
 from __future__ import annotations
 
 from .corpus import Sentence
-from .errors import AlignmentError
-from .model1 import DirectionalAlignment
+from .model1 import Links
 from .symmetrize import BilingualLexicon
 
 
@@ -23,22 +24,10 @@ def make_lex(source: Sentence, lexicon: BilingualLexicon) -> Sentence:
     )
 
 
-def make_ali(
-    lex: Sentence, tgt_to_src: DirectionalAlignment, target_length: int
-) -> Sentence:
+def make_ali(lex: Sentence, tgt_to_src: Links) -> Sentence:
     """Reorder lex words into target order along the target-to-source links."""
-    if len(tgt_to_src.links) != target_length:
-        raise AlignmentError(
-            f"alignment has {len(tgt_to_src.links)} links for target "
-            f"length {target_length}"
-        )
     out = []
-    for i in tgt_to_src.links:
-        if i is None:
-            continue
-        if not 0 <= i < len(lex):
-            raise AlignmentError(
-                f"link {i} out of range for lex length {len(lex)}"
-            )
-        out.append(lex[i])
+    for i in tgt_to_src:
+        if i is not None:
+            out.append(lex[i])
     return tuple(out)

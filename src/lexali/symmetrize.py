@@ -10,13 +10,13 @@ ties broken by the lexicographically smallest target word.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import ParallelCorpus, _decode, _split_lines
 from .errors import AlignmentError
-from .model1 import _read_pharaoh
+from .model1 import Links, _read_pharaoh
 
 Link = tuple[int, int]
 OneToOneAlignment = frozenset[Link]
@@ -27,56 +27,43 @@ class BilingualLexicon:
     """Per source word, its best target word and that link's count."""
 
     entries: dict[str, tuple[str, int]]
-    total_links: int
 
     def translate(self, word: str) -> str | None:
         entry = self.entries.get(word)
         return entry[0] if entry else None
 
 
-def intersect_maps(
-    tgt_to_src: Mapping[int, int], src_to_tgt: Mapping[int, int]
-) -> OneToOneAlignment:
+def intersect_maps(tgt_to_src: Links, src_to_tgt: Links) -> OneToOneAlignment:
     """Reciprocal links of one sentence pair, as (source, target).
 
-    ``tgt_to_src`` maps target positions to source positions, as
-    ``model1.read_alignment_maps`` reads them; ``src_to_tgt`` the mirror.
+    ``tgt_to_src`` holds a source position or None per target position, as
+    ``model1.viterbi_align`` and ``model1.read_alignment_maps`` give it;
+    ``src_to_tgt`` the mirror.
     """
     return frozenset(
-        (i, j) for j, i in tgt_to_src.items() if src_to_tgt.get(i) == j
+        (i, j)
+        for j, i in enumerate(tgt_to_src)
+        if i is not None and src_to_tgt[i] == j
     )
 
 
 def extract_lexicon(
     corpus: ParallelCorpus, alignments: Sequence[OneToOneAlignment]
 ) -> BilingualLexicon:
-    """Count symmetrized links corpus-wide and keep the argmax per source word."""
-    if len(alignments) != len(corpus.pairs):
-        raise AlignmentError(
-            f"{len(alignments)} alignments for {len(corpus.pairs)} sentence pairs"
-        )
+    """Count symmetrized links corpus-wide and keep the argmax per source word;
+    the links are those ``read_links`` checked against the corpus."""
     counts: dict[str, dict[str, int]] = {}
-    total = 0
     for (src, tgt), links in zip(corpus.pairs, alignments):
         for i, j in sorted(links):
-            if not 0 <= i < len(src):
-                raise AlignmentError(
-                    f"source position {i} out of range for length {len(src)}"
-                )
-            if not 0 <= j < len(tgt):
-                raise AlignmentError(
-                    f"target position {j} out of range for length {len(tgt)}"
-                )
             row = counts.setdefault(src[i], {})
             row[tgt[j]] = row.get(tgt[j], 0) + 1
-            total += 1
     entries: dict[str, tuple[str, int]] = {}
     for src_word, row in counts.items():
         best_tgt, best_count = min(
             row.items(), key=lambda item: (-item[1], item[0])
         )
         entries[src_word] = (best_tgt, best_count)
-    return BilingualLexicon(entries=entries, total_links=total)
+    return BilingualLexicon(entries=entries)
 
 
 def write_links(
@@ -91,11 +78,14 @@ def write_links(
     )
 
 
-def read_links(path: str | Path) -> list[OneToOneAlignment]:
-    """Parse "i-j" lines; each source and each target position appears at
-    most once per line, as intersection produces them."""
+def read_links(
+    path: str | Path, lengths: Sequence[tuple[int, int]]
+) -> list[OneToOneAlignment]:
+    """Parse "i-j" lines, one (source, target) length pair per line; each
+    source and each target position appears at most once per line, as
+    intersection produces them."""
     alignments: list[OneToOneAlignment] = []
-    for lineno, cells in _read_pharaoh(path):
+    for lineno, cells in _read_pharaoh(path, lengths, ("source", "target")):
         links: dict[int, int] = {}
         targets: set[int] = set()
         for i, j in cells:
@@ -127,13 +117,10 @@ def write_lexicon(lexicon: BilingualLexicon, path: str | Path) -> None:
 def read_lexicon(path: str | Path) -> BilingualLexicon:
     """Load a lexicon file.
 
-    The file stores winning entries only, so total_links is rebuilt as the
-    sum of winning counts (a floor of the original corpus-wide total). Each
-    source word appears once, with a non-empty target word and a
+    Each source word appears once, with a non-empty target word and a
     non-negative integer count.
     """
     entries: dict[str, tuple[str, int]] = {}
-    total = 0
     for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -152,7 +139,5 @@ def read_lexicon(path: str | Path) -> BilingualLexicon:
             raise AlignmentError(
                 f"{path}:{lineno}: source word {src_word!r} listed twice"
             )
-        count = int(count_text)
-        entries[src_word] = (tgt_word, count)
-        total += count
-    return BilingualLexicon(entries=entries, total_links=total)
+        entries[src_word] = (tgt_word, int(count_text))
+    return BilingualLexicon(entries=entries)

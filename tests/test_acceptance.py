@@ -14,7 +14,6 @@ import pytest
 import oracles
 from lexali import augment, bleu, bpe, cli, corpus, mbr, model1, sequences, symmetrize
 from lexali.augment import SegmentKind
-from lexali.model1 import DirectionalAlignment
 from lexali.symmetrize import BilingualLexicon
 
 DATA = resources.files("lexali") / "data"
@@ -67,10 +66,7 @@ def test_intersection_on_fuzzed_pairs():
         tgt_len = rng.randint(1, 8)
         t2s = tuple(rng.choice([None, *range(src_len)]) for _ in range(tgt_len))
         s2t = tuple(rng.choice([None, *range(tgt_len)]) for _ in range(src_len))
-        links = symmetrize.intersect_maps(
-            {j: i for j, i in enumerate(t2s) if i is not None},
-            {i: j for i, j in enumerate(s2t) if j is not None},
-        )
+        links = symmetrize.intersect_maps(t2s, s2t)
         assert links == oracles.intersect_oracle(t2s, s2t)
         sources = [i for i, _ in links]
         targets = [j for _, j in links]
@@ -89,20 +85,16 @@ def test_lex_ali_contracts_on_fuzzed_triples():
             for word in vocab
             if rng.random() < 0.6
         }
-        lexicon = BilingualLexicon(
-            entries=entries,
-            total_links=sum(count for _, count in entries.values()),
-        )
+        lexicon = BilingualLexicon(entries=entries)
         source = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 9)))
         target_length = rng.randint(1, 9)
         links = tuple(
             rng.choice([None, *range(len(source))]) for _ in range(target_length)
         )
-        alignment = DirectionalAlignment(links, len(source))
 
         lex = sequences.make_lex(source, lexicon)
         assert len(lex) == len(source)
-        ali = sequences.make_ali(lex, alignment, target_length)
+        ali = sequences.make_ali(lex, links)
         assert ali == tuple(lex[i] for i in links if i is not None)
         assert len(ali) == sum(1 for i in links if i is not None)
 

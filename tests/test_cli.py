@@ -167,6 +167,8 @@ BOTH_SIDES = ["--src", data_path("toy.src"), "--tgt", data_path("toy.tgt")]
 BAD_VALUES = [
     (["align", "--tgt", data_path("toy.tgt")], "--src", data_path("none.src"),
      f"src path does not exist: {data_path('none.src')}"),
+    (["align", "--tgt", data_path("toy.tgt")], "--src", str(DATA),
+     f"src path is not a file: {DATA}"),
     (["align", *BOTH_SIDES], "--iterations", "0", "iterations must be >= 1, got 0"),
     (["align", *BOTH_SIDES], "--iterations", "five",
      "iterations must be an integer, got 'five'"),
@@ -308,21 +310,34 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"{cli.ALIGN_T2S}:2: link 9 out of range" in err
 
+    # line 2 of a toy run's file replaced by the line, or dropped if None;
+    # the stage must name the file, and the line for a bad link
     @pytest.mark.parametrize(
-        ("name", "line", "message"),
-        [(cli.ALIGN_T2S, "9-0 1-1", "link 9 out of range for conditioning length 2"),
-         (cli.ALIGN_S2T, "9-0 1-1", "link 9 out of range for conditioning length 2"),
-         (cli.ALIGN_T2S, "0-9", "link to emitted position 9 out of range")],
-        ids=["tgt_to_src", "src_to_tgt", "emitted"],
+        ("stage", "name", "line", "message"),
+        [("symmetrize", cli.ALIGN_T2S, "9-0 1-1",
+          "link 9 out of range for conditioning length 2"),
+         ("symmetrize", cli.ALIGN_S2T, "9-0 1-1",
+          "link 9 out of range for conditioning length 2"),
+         ("symmetrize", cli.ALIGN_T2S, "0-9", "link to emitted position 9 out of range"),
+         ("symmetrize", cli.ALIGN_S2T, None, "1 lines for 2 sentence pairs"),
+         ("lexicon", cli.ALIGN_INTERSECT, "0-0 9-1",
+          "link 9 out of range for source length 2"),
+         ("lexicon", cli.ALIGN_INTERSECT, "0-9",
+          "link to target position 9 out of range for target length 2"),
+         ("lexicon", cli.ALIGN_INTERSECT, None, "1 lines for 2 sentence pairs")],
+        ids=["tgt_to_src", "src_to_tgt", "emitted", "directional-missing-line",
+             "intersect-source", "intersect-target", "intersect-missing-line"],
     )
     def test_symmetrize_out_of_range_link_names_file_and_line(
-        self, tmp_path, toy_args, capsys, name, line, message
+        self, tmp_path, toy_args, capsys, stage, name, line, message
     ):
         out = tmp_path / "run"
         assert run(["pipeline", *toy_args]) == 0
-        (out / name).write_text(f"0-0 1-1\n{line}\n", encoding="utf-8")
-        assert run(["symmetrize", *toy_args]) == 1
-        assert f"{out / name}:2: {message}" in capsys.readouterr().err
+        text = "0-0 1-1\n" if line is None else f"0-0 1-1\n{line}\n"
+        (out / name).write_text(text, encoding="utf-8")
+        assert run([stage, *toy_args]) == 1
+        where = f"{out / name}:" if line is None else f"{out / name}:2:"
+        assert f"{where} {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("line", "message"),
@@ -367,6 +382,15 @@ class TestDecodingCommands:
         decoded.write_text("<tgt> a <tgt> b\n", encoding="utf-8")
         assert run(["extract", "--input", decoded, "--kind", "tgt",
                     "--output", tmp_path / "o.txt"]) == 1
+
+    def test_extract_repeated_marker_names_file_and_line(self, tmp_path, capsys):
+        decoded = tmp_path / "decoded.txt"
+        decoded.write_text("<tgt> a\n<tgt> c <tgt> d\n", encoding="utf-8")
+        assert run(["extract", "--input", decoded, "--kind", "tgt",
+                    "--output", tmp_path / "o.txt"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {decoded}:2: marker <tgt> appears 2 times in the output\n"
+        )
 
     def test_mbr_unanimous(self, tmp_path):
         files = []

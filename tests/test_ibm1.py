@@ -131,38 +131,30 @@ class TestViterbi:
 
     def test_dominant_entry_wins(self):
         table = model1.train_model1(TOY, "tgt_to_src", 5)
-        alignment = model1.viterbi_align(table, TOY.pairs[0])
         # "the" goes to "das" at position 0, "house" to position 1
-        assert alignment.links == (0, 1)
-        assert alignment.conditioning_length == 2
+        assert model1.viterbi_align(table, TOY.pairs[0]) == (0, 1)
 
     def test_unseen_word_gets_null(self):
         table = self.table({"a": {"x": 1.0}})
-        alignment = model1.viterbi_align(table, (("a",), ("zzz",)))
-        assert alignment.links == (None,)
+        assert model1.viterbi_align(table, (("a",), ("zzz",))) == (None,)
 
     def test_positive_tie_prefers_smallest_index(self):
         table = self.table({"a": {"x": 0.4}, "b": {"x": 0.4}})
-        alignment = model1.viterbi_align(table, (("a", "b"), ("x",)))
-        assert alignment.links == (0,)
+        assert model1.viterbi_align(table, (("a", "b"), ("x",))) == (0,)
 
     def test_null_loses_ties_to_real_positions(self):
         table = self.table({model1.NULL_WORD: {"x": 0.4}, "a": {"x": 0.4}})
-        alignment = model1.viterbi_align(table, (("a",), ("x",)))
-        assert alignment.links == (0,)
+        assert model1.viterbi_align(table, (("a",), ("x",))) == (0,)
 
     def test_null_wins_by_strict_majority(self):
         table = self.table({model1.NULL_WORD: {"x": 0.6}, "a": {"x": 0.4}})
-        alignment = model1.viterbi_align(table, (("a",), ("x",)))
-        assert alignment.links == (None,)
+        assert model1.viterbi_align(table, (("a",), ("x",))) == (None,)
 
     def test_src_to_tgt_aligns_source_positions(self):
         table = model1.TranslationTable(
             direction="src_to_tgt", probs={"x": {"a": 0.9, "b": 0.8}}
         )
-        alignment = model1.viterbi_align(table, (("a", "b"), ("x",)))
-        assert alignment.links == (0, 0)
-        assert alignment.conditioning_length == 1
+        assert model1.viterbi_align(table, (("a", "b"), ("x",))) == (0, 0)
 
     def test_bijective_corpus_recovered(self):
         """A repeated bijection (a-x, b-y, c-z) is recovered exactly."""
@@ -174,8 +166,7 @@ class TestViterbi:
         corpus = ParallelCorpus(pairs=base + base)
         table = model1.train_model1(corpus, "tgt_to_src", 5)
         for pair in corpus.pairs:
-            alignment = model1.viterbi_align(table, pair)
-            assert alignment.links == (0, 1)
+            assert model1.viterbi_align(table, pair) == (0, 1)
 
 
 class TestLikelihood:
@@ -250,39 +241,40 @@ class TestFiles:
     def test_pharaoh_output_omits_null_and_leads_with_conditioning(
         self, tmp_path
     ):
-        alignment = model1.DirectionalAlignment(
-            links=(1, None, 0), conditioning_length=2
-        )
         path = tmp_path / "align.txt"
-        model1.write_alignments([alignment], path)
+        model1.write_alignments([(1, None, 0)], path)
         assert path.read_text(encoding="utf-8") == "1-0 0-2\n"
-        assert model1.read_alignment_maps(path) == [{0: 1, 2: 0}]
+        assert model1.read_alignment_maps(path, [(2, 3)]) == [(1, None, 0)]
 
-    def test_alignment_map_rebuild(self):
-        alignment = model1.alignment_from_map(
-            {0: 1, 2: 0}, emitted_length=3, conditioning_length=2
-        )
-        assert alignment.links == (1, None, 0)
+    def test_alignment_map_rebuild(self, tmp_path):
+        path = tmp_path / "align.txt"
+        path.write_text("1-0 0-2\n\n", encoding="utf-8")
+        links = model1.read_alignment_maps(path, [(2, 3), (1, 2)])
+        assert links == [(1, None, 0), (None, None)]
 
-    def test_alignment_map_link_beyond_emitted_length_rejected(self):
-        with pytest.raises(AlignmentError, match="emitted position 9"):
-            model1.alignment_from_map(
-                {0: 1, 9: 0}, emitted_length=3, conditioning_length=2
-            )
+    def test_alignment_map_link_beyond_emitted_length_rejected(self, tmp_path):
+        path = tmp_path / "align.txt"
+        path.write_text("1-0 0-9\n", encoding="utf-8")
+        pattern = rf"{re.escape(str(path))}:1: link to emitted position 9"
+        with pytest.raises(AlignmentError, match=pattern):
+            model1.read_alignment_maps(path, [(2, 3)])
 
     def test_repeated_emitted_position_rejected(self, tmp_path):
         path = tmp_path / "align.txt"
         path.write_text("0-0\n0-1 2-1\n", encoding="utf-8")
         pattern = rf"{re.escape(str(path))}:2: .*position 1"
         with pytest.raises(AlignmentError, match=pattern):
-            model1.read_alignment_maps(path)
+            model1.read_alignment_maps(path, [(1, 1), (3, 2)])
 
     def test_bad_link_cell(self, tmp_path):
         path = tmp_path / "align.txt"
         path.write_text("1-x\n", encoding="utf-8")
         with pytest.raises(AlignmentError):
-            model1.read_alignment_maps(path)
+            model1.read_alignment_maps(path, [(2, 2)])
 
-    def test_out_of_range_link_rejected(self):
-        with pytest.raises(AlignmentError):
-            model1.DirectionalAlignment(links=(5,), conditioning_length=2)
+    def test_out_of_range_link_rejected(self, tmp_path):
+        path = tmp_path / "align.txt"
+        path.write_text("5-0\n", encoding="utf-8")
+        message = f"{path}:1: link 5 out of range for conditioning length 2"
+        with pytest.raises(AlignmentError, match=re.escape(message)):
+            model1.read_alignment_maps(path, [(2, 1)])

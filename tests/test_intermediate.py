@@ -5,15 +5,14 @@ import random
 import pytest
 
 from lexali.errors import AlignmentError
-from lexali.model1 import DirectionalAlignment
+from lexali.model1 import read_alignment_maps
 from lexali.sequences import make_ali, make_lex
 from lexali.symmetrize import BilingualLexicon
 
 
 def lexicon(mapping):
     return BilingualLexicon(
-        entries={src: (tgt, 1) for src, tgt in mapping.items()},
-        total_links=len(mapping),
+        entries={src: (tgt, 1) for src, tgt in mapping.items()}
     )
 
 
@@ -41,19 +40,16 @@ def test_lex_preserves_length_and_order():
 def test_ali_reorders_along_links():
     # lex is source-ordered; the alignment walks target positions
     lex = ("the", "man", "reads")
-    links = DirectionalAlignment(links=(0, 2, 1), conditioning_length=3)
-    assert make_ali(lex, links, target_length=3) == ("the", "reads", "man")
+    assert make_ali(lex, (0, 2, 1)) == ("the", "reads", "man")
 
 
 def test_ali_skips_null_and_allows_duplicates():
     lex = ("A", "B")
-    links = DirectionalAlignment(links=(1, 1, None, 0), conditioning_length=2)
-    assert make_ali(lex, links, target_length=4) == ("B", "B", "A")
+    assert make_ali(lex, (1, 1, None, 0)) == ("B", "B", "A")
 
 
 def test_ali_empty_when_everything_null():
-    links = DirectionalAlignment(links=(None, None), conditioning_length=5)
-    assert make_ali(("a", "b"), links, target_length=2) == ()
+    assert make_ali(("a", "b"), (None, None)) == ()
 
 
 def test_ali_length_equals_non_null_count():
@@ -65,22 +61,17 @@ def test_ali_length_equals_non_null_count():
         links = tuple(
             rng.choice([None] + list(range(src_len))) for _ in range(tgt_len)
         )
-        alignment = DirectionalAlignment(
-            links=links, conditioning_length=src_len
-        )
-        out = make_ali(lex, alignment, target_length=tgt_len)
+        out = make_ali(lex, links)
         assert len(out) == sum(1 for link in links if link is not None)
         # emitted in ascending target order
         assert list(out) == [lex[i] for i in links if i is not None]
 
 
-def test_ali_link_range_checked_against_lex():
-    links = DirectionalAlignment(links=(3,), conditioning_length=4)
-    with pytest.raises(AlignmentError, match="out of range"):
-        make_ali(("a", "b"), links, target_length=1)
-
-
-def test_ali_target_length_mismatch():
-    links = DirectionalAlignment(links=(0,), conditioning_length=1)
-    with pytest.raises(AlignmentError):
-        make_ali(("a",), links, target_length=2)
+def test_ali_link_range_checked_against_lex(tmp_path):
+    # the ali stage reads its links with the lex length as the conditioning
+    # bound, so a link past the lex sequence never reaches make_ali
+    lex = ("a", "b")
+    path = tmp_path / "align.txt"
+    path.write_text("3-0\n", encoding="utf-8")
+    with pytest.raises(AlignmentError, match="link 3 out of range"):
+        read_alignment_maps(path, [(len(lex), 1)])

@@ -3,6 +3,7 @@ files both directions and the intersection are stored in."""
 
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import example, given
@@ -22,22 +23,18 @@ def random_links(rng, emitted_length, conditioning_length):
     )
 
 
-def as_map(links):
-    return {j: i for j, i in enumerate(links) if i is not None}
-
-
 def test_reciprocal_links_survive():
-    assert symmetrize.intersect_maps({0: 0, 1: 1}, {0: 0, 1: 1}) == {(0, 0), (1, 1)}
+    assert symmetrize.intersect_maps((0, 1), (0, 1)) == {(0, 0), (1, 1)}
 
 
 def test_disagreeing_links_drop():
     # target 0 points at source 1 and source 1 back at target 0; source 0
     # points at target 1, which points nowhere
-    assert symmetrize.intersect_maps({0: 1}, {0: 1, 1: 0}) == {(1, 0)}
+    assert symmetrize.intersect_maps((1, None), (1, 0)) == {(1, 0)}
 
 
 def test_empty_when_no_agreement():
-    assert symmetrize.intersect_maps({0: 0}, {}) == frozenset()
+    assert symmetrize.intersect_maps((0,), (None,)) == frozenset()
 
 
 def test_fuzzed_equals_naive_set_intersection_and_is_one_to_one():
@@ -47,7 +44,7 @@ def test_fuzzed_equals_naive_set_intersection_and_is_one_to_one():
         tgt_len = rng.randint(1, 7)
         t2s = random_links(rng, tgt_len, src_len)
         s2t = random_links(rng, src_len, tgt_len)
-        links = symmetrize.intersect_maps(as_map(t2s), as_map(s2t))
+        links = symmetrize.intersect_maps(t2s, s2t)
         assert links == intersect_oracle(t2s, s2t)
         sources = [i for i, _ in links]
         targets = [j for _, j in links]
@@ -60,8 +57,8 @@ def test_swapping_directions_transposes_the_result():
     for _ in range(100):
         src_len = rng.randint(1, 6)
         tgt_len = rng.randint(1, 6)
-        t2s = as_map(random_links(rng, tgt_len, src_len))
-        s2t = as_map(random_links(rng, src_len, tgt_len))
+        t2s = random_links(rng, tgt_len, src_len)
+        s2t = random_links(rng, src_len, tgt_len)
         forward = symmetrize.intersect_maps(t2s, s2t)
         swapped = symmetrize.intersect_maps(s2t, t2s)
         assert swapped == {(j, i) for i, j in forward}
@@ -86,7 +83,6 @@ class TestLexicon:
         lexicon = symmetrize.extract_lexicon(self.corpus(), alignments)
         assert lexicon.entries["haus"] == ("house", 2)
         assert lexicon.entries["alt"] == ("old", 1)
-        assert lexicon.total_links == 4
         assert lexicon.translate("haus") == "house"
         assert lexicon.translate("unbekannt") is None
 
@@ -118,18 +114,27 @@ class TestLexicon:
             corpus = ParallelCorpus(pairs=tuple(pairs))
             lexicon = symmetrize.extract_lexicon(corpus, alignments)
             assert lexicon.entries == lexicon_oracle(pairs, alignments)
-            assert lexicon.total_links == sum(len(a) for a in alignments)
 
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(AlignmentError):
-            symmetrize.extract_lexicon(self.corpus(), [frozenset()])
+    def lengths(self):
+        """The bounds read_links checks the links this lexicon counts against."""
+        return [(len(src), len(tgt)) for src, tgt in self.corpus().pairs]
 
-    def test_out_of_range_positions_rejected(self):
-        corpus = ParallelCorpus(pairs=((("a",), ("x",)),))
-        with pytest.raises(AlignmentError):
-            symmetrize.extract_lexicon(corpus, [frozenset({(1, 0)})])
-        with pytest.raises(AlignmentError):
-            symmetrize.extract_lexicon(corpus, [frozenset({(0, 9)})])
+    def test_count_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "links.txt"
+        path.write_text("0-0 1-1\n", encoding="utf-8")
+        message = f"{path}: 1 lines for 3 sentence pairs"
+        with pytest.raises(AlignmentError, match=re.escape(message)):
+            symmetrize.read_links(path, self.lengths())
+
+    def test_out_of_range_positions_rejected(self, tmp_path):
+        path = tmp_path / "links.txt"
+        for line, message in (
+            ("1-0", "link 1 out of range for source length 1"),
+            ("0-9", "link to target position 9 out of range for target length 1"),
+        ):
+            path.write_text(f"0-0 1-1\n0-0\n{line}\n", encoding="utf-8")
+            with pytest.raises(AlignmentError, match=re.escape(f"{path}:3: {message}")):
+                symmetrize.read_links(path, self.lengths())
 
 
 def test_links_file_round_trip(tmp_path):
@@ -137,7 +142,7 @@ def test_links_file_round_trip(tmp_path):
     path = tmp_path / "links.txt"
     symmetrize.write_links(alignments, path)
     assert path.read_text(encoding="utf-8") == "0-1 1-0\n\n"
-    assert symmetrize.read_links(path) == alignments
+    assert symmetrize.read_links(path, [(2, 2), (1, 1)]) == alignments
 
 
 # a cell that is not two runs of ASCII digits joined by "-"; "1-²" and
@@ -145,77 +150,105 @@ def test_links_file_round_trip(tmp_path):
 BAD_CELL = st.text(alphabet="0123456789-²１٣x+", min_size=1, max_size=6).filter(
     lambda cell: re.fullmatch(r"[0-9]+-[0-9]+", cell) is None
 )
-POSITION = st.integers(0, 120)
 
 
-def assert_bad_cell_rejected(read, path, lines, line_index, cell):
-    """Append the cell to one line of a valid file; the reader must name
-    that file and line."""
-    lines = list(lines)
-    lines[line_index] += " " + cell
+def assert_rejected(read, path, lines, message):
+    """Write the lines as a file; reading it must fail with the message."""
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    message = re.escape(f"{path}:{line_index + 1}: bad link {cell!r}")
-    with pytest.raises(AlignmentError, match=message):
+    with pytest.raises(AlignmentError, match=re.escape(message)):
         read(path)
+
+
+def assert_bad_lines_rejected(read, path, lengths, line_index, cell, sides):
+    """Edit one line of a valid Pharaoh file with the given (i, j) bounds per
+    line: a bad cell, a position at either bound, and one line too many or
+    too few must each be rejected, naming the file and, for a cell, the line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    index = line_index % len(lines)
+    i_bound, j_bound = lengths[index]
+    left, right = sides
+    where = f"{path}:{index + 1}:"
+    for cell, message in (
+        (cell, f"bad link {cell!r}"),
+        (f"{i_bound}-0", f"link {i_bound} out of range for {left} length {i_bound}"),
+        (f"0-{j_bound}", f"link to {right} position {j_bound} out of range for "
+                         f"{right} length {j_bound}"),
+    ):
+        edited = list(lines)
+        edited[index] += " " + cell
+        assert_rejected(read, path, edited, f"{where} {message}")
+    n = len(lines)
+    assert_rejected(read, path, [*lines, ""], f"{path}: {n + 1} lines for {n} sentence pairs")
+    assert_rejected(read, path, lines[:-1], f"{path}: {n - 1} lines for {n} sentence pairs")
+
+
+# a sentence length; corpus lines are never empty
+LENGTH = st.integers(1, 120)
 
 
 @st.composite
 def directional_alignments(draw):
-    length = draw(st.integers(0, 120))
-    position = st.integers(0, length - 1) if length else st.nothing()
-    links = draw(st.lists(st.none() | position, max_size=8))
-    return model1.DirectionalAlignment(tuple(links), length)
+    """One line's links with its (conditioning, emitted) lengths."""
+    conditioning_length = draw(LENGTH)
+    position = st.integers(0, conditioning_length - 1)
+    links = tuple(draw(st.lists(st.none() | position, max_size=8)))
+    return links, (conditioning_length, len(links))
 
 
 @given(
-    alignments=st.lists(directional_alignments(), min_size=1, max_size=5),
+    drawn=st.lists(directional_alignments(), min_size=1, max_size=5),
     line_index=st.integers(0, 4),
     cell=BAD_CELL,
 )
-@example(alignments=[model1.DirectionalAlignment((1,), 2)], line_index=0, cell="1-²")
-@example(alignments=[model1.DirectionalAlignment((1,), 2)], line_index=0, cell="1-１")
+@example(drawn=[((1,), (2, 1))], line_index=0, cell="1-²")
+@example(drawn=[((1,), (2, 1))], line_index=0, cell="1-１")
 def test_alignment_file_round_trip_and_bad_cell(
-    tmp_path_factory, alignments, line_index, cell
+    tmp_path_factory, drawn, line_index, cell
 ):
+    alignments = [links for links, _ in drawn]
+    lengths = [line_lengths for _, line_lengths in drawn]
     path = tmp_path_factory.mktemp("pharaoh") / "align.txt"
     model1.write_alignments(alignments, path)
-    maps = model1.read_alignment_maps(path)
-    assert maps == [as_map(alignment.links) for alignment in alignments]
-    for link_map, alignment in zip(maps, alignments):
-        rebuilt = model1.alignment_from_map(
-            link_map, len(alignment.links), alignment.conditioning_length
-        )
-        assert rebuilt == alignment
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert_bad_cell_rejected(
-        model1.read_alignment_maps, path, lines, line_index % len(lines), cell
+    assert model1.read_alignment_maps(path, lengths) == alignments
+    assert_bad_lines_rejected(
+        partial(model1.read_alignment_maps, lengths=lengths),
+        path, lengths, line_index, cell, ("conditioning", "emitted"),
     )
 
 
-@given(
-    alignments=st.lists(
+@st.composite
+def one_to_one_alignments(draw):
+    """One line's intersected links with its (source, target) lengths."""
+    src_length = draw(LENGTH)
+    tgt_length = draw(LENGTH)
+    links = draw(
         st.lists(
-            st.tuples(POSITION, POSITION),
+            st.tuples(st.integers(0, src_length - 1), st.integers(0, tgt_length - 1)),
             max_size=8,
             unique_by=(lambda link: link[0], lambda link: link[1]),
-        ).map(frozenset),
-        min_size=1,
-        max_size=5,
-    ),
+        )
+    )
+    return frozenset(links), (src_length, tgt_length)
+
+
+@given(
+    drawn=st.lists(one_to_one_alignments(), min_size=1, max_size=5),
     line_index=st.integers(0, 4),
     cell=BAD_CELL,
 )
-@example(alignments=[frozenset({(0, 1)})], line_index=0, cell="1-²")
-@example(alignments=[frozenset({(0, 1)})], line_index=0, cell="1-１")
+@example(drawn=[(frozenset({(0, 1)}), (1, 2))], line_index=0, cell="1-²")
+@example(drawn=[(frozenset({(0, 1)}), (1, 2))], line_index=0, cell="1-１")
 def test_links_file_round_trip_and_bad_cell(
-    tmp_path_factory, alignments, line_index, cell
+    tmp_path_factory, drawn, line_index, cell
 ):
+    alignments = [links for links, _ in drawn]
+    lengths = [line_lengths for _, line_lengths in drawn]
     path = tmp_path_factory.mktemp("pharaoh") / "links.txt"
     symmetrize.write_links(alignments, path)
-    assert symmetrize.read_links(path) == alignments
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert_bad_cell_rejected(
-        symmetrize.read_links, path, lines, line_index % len(lines), cell
+    assert symmetrize.read_links(path, lengths) == alignments
+    assert_bad_lines_rejected(
+        partial(symmetrize.read_links, lengths=lengths),
+        path, lengths, line_index, cell, ("source", "target"),
     )
 
 
@@ -228,19 +261,58 @@ def test_links_file_repeated_position_rejected(tmp_path, line, position):
     path = tmp_path / "links.txt"
     path.write_text(f"0-0\n{line}\n", encoding="utf-8")
     with pytest.raises(AlignmentError, match=rf"links\.txt:2: {position} linked twice"):
-        symmetrize.read_links(path)
+        symmetrize.read_links(path, [(1, 1), (2, 2)])
 
 
 def test_lexicon_file_round_trip(tmp_path):
     lexicon = symmetrize.BilingualLexicon(
-        entries={"haus": ("house", 2), "alt": ("old", 1)}, total_links=3
+        entries={"haus": ("house", 2), "alt": ("old", 1)}
     )
     path = tmp_path / "lexicon.tsv"
     symmetrize.write_lexicon(lexicon, path)
     assert path.read_text(encoding="utf-8") == "alt\told\t1\nhaus\thouse\t2\n"
-    loaded = symmetrize.read_lexicon(path)
-    assert loaded.entries == lexicon.entries
-    assert loaded.total_links == 3
+    assert symmetrize.read_lexicon(path) == lexicon
+
+
+# a lexicon word: any non-empty text without the tab and newline that
+# delimit the file
+WORD = st.text(
+    st.characters(blacklist_characters="\t\n", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=5,
+)
+# a line read_lexicon must reject wherever it stands
+BAD_LEXICON_LINE = st.one_of(
+    WORD,
+    st.tuples(WORD, WORD).map("\t".join),
+    st.tuples(WORD, WORD, WORD, WORD).map("\t".join),
+    st.tuples(WORD, WORD, st.sampled_from(["", "-1", "1.5", "x", "²", "１"])).map(
+        "\t".join
+    ),
+    WORD.map(lambda word: f"{word}\t\t1"),
+    WORD.map(lambda word: f"\t{word}\t1"),
+)
+
+
+@given(
+    entries=st.dictionaries(WORD, st.tuples(WORD, st.integers(0, 10**9)), max_size=8),
+    line_index=st.integers(0, 8),
+    bad_line=BAD_LEXICON_LINE,
+)
+def test_lexicon_file_round_trip_and_bad_line(
+    tmp_path_factory, entries, line_index, bad_line
+):
+    lexicon = symmetrize.BilingualLexicon(entries=entries)
+    path = tmp_path_factory.mktemp("lexicon") / "lexicon.tsv"
+    symmetrize.write_lexicon(lexicon, path)
+    assert symmetrize.read_lexicon(path) == lexicon
+    # bytes, not text: universal newlines would split a word holding "\r"
+    lines = path.read_bytes().decode("utf-8").split("\n")[:-1]
+    index = line_index % (len(lines) + 1)
+    lines.insert(index, bad_line)
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    with pytest.raises(AlignmentError, match=re.escape(f"{path}:{index + 1}: ")):
+        symmetrize.read_lexicon(path)
 
 
 @pytest.mark.parametrize(
