@@ -16,8 +16,9 @@ markers and where each segment sits in the target) is planned once per
 indexing. ``augment_corpus`` still returns one ``list[AugmentedExample]``,
 not a generator: callers take its ``len()`` (the benchmark counts examples
 that way) and the list is the unit the tests compare. ``write_augmented``
-writes each example's three lines straight to the open files, with the
-manifest's control digits formatted once per order.
+writes each example's three lines straight to the three files, each
+replaced whole once every example is written, with the manifest's control
+digits formatted once per order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Literal
 
-from .corpus import Sentence
+from .corpus import Sentence, replacing
 from .errors import MarkerError, PermutationError
 
 Mode = Literal["simple", "full"]
@@ -190,9 +191,9 @@ def write_augmented(
     one token count per segment in emission order.
     """
     digits: dict[tuple[SegmentKind, ...], str] = {}
-    with open(src_path, "w", encoding="utf-8") as src, open(
-        tgt_path, "w", encoding="utf-8"
-    ) as tgt, open(manifest_path, "w", encoding="utf-8") as manifest:
+    with replacing(src_path) as src, replacing(tgt_path) as tgt, replacing(
+        manifest_path
+    ) as manifest:
         for example in examples:
             order = example.order
             order_digits = digits.get(order)

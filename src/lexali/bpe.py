@@ -28,7 +28,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Sentence, _decode, _split_lines
+from .corpus import Sentence, read_lines, write_lines
 from .errors import SegmentationError
 
 CONTINUATION_MARKER = "@@"
@@ -299,16 +299,14 @@ def undo_bpe(sentence: Sentence, marker: str = CONTINUATION_MARKER) -> Sentence:
 
 
 def write_merges(table: MergeTable, path: str | Path) -> None:
-    lines = [_VERSION_LINE]
-    lines.extend(f"{left} {right}" for left, right in table.merges)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, [_VERSION_LINE, *map(" ".join, table.merges)])
 
 
 def read_merges(path: str | Path) -> MergeTable:
     """Load a merge table: an optional '#' header line, then one pair of
-    non-empty symbols per line, each pair listed once."""
+    non-empty symbols without whitespace per line, each pair listed once."""
     merges: dict[Pair, None] = {}
-    for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if lineno == 1 and line.startswith("#"):
             continue
         parts = line.split(" ")
@@ -317,6 +315,8 @@ def read_merges(path: str | Path) -> MergeTable:
         pair = (parts[0], parts[1])
         if not all(pair):
             raise SegmentationError(f"{path}:{lineno}: empty symbol in {line!r}")
+        if parts != line.split():
+            raise SegmentationError(f"{path}:{lineno}: whitespace in a symbol in {line!r}")
         if pair in merges:
             raise SegmentationError(f"{path}:{lineno}: merge {line!r} listed twice")
         merges[pair] = None

@@ -21,13 +21,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__, augment, bleu, bpe, corpus, mbr, model1, sequences, symmetrize
-from .errors import (
-    ConfigError,
-    LexaliError,
-    MarkerError,
-    PipelineError,
-    ScoringError,
-)
+from .errors import ConfigError, LexaliError, MarkerError, PipelineError
 
 TABLE_T2S = "model1.tgt_to_src.txt"
 TABLE_S2T = "model1.src_to_tgt.txt"
@@ -159,11 +153,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     are skipped; an unknown, repeated or empty key is an error.
     """
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(corpus.read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -257,11 +247,7 @@ def stage_lex(src: str, out: Path) -> None:
 def stage_ali(tgt: str, out: Path) -> None:
     lex_sentences = corpus.read_sentences(out / LEX_WORDS)
     tgt_sentences = corpus.load_sentences(tgt)
-    if len(lex_sentences) != len(tgt_sentences):
-        raise PipelineError(
-            f"line counts disagree: {LEX_WORDS}={len(lex_sentences)}, "
-            f"tgt={len(tgt_sentences)}"
-        )
+    corpus.check_line_counts((out / LEX_WORDS, lex_sentences), (tgt, tgt_sentences))
     alignments = model1.read_alignment_maps(
         out / ALIGN_T2S,
         [(len(lex), len(t)) for lex, t in zip(lex_sentences, tgt_sentences)],
@@ -274,11 +260,9 @@ def stage_ali(tgt: str, out: Path) -> None:
 
 
 def stage_bpe_learn(src: str, tgt: str, out: Path, merges: int) -> None:
-    pair_corpus = corpus.load_parallel(src, tgt)
-    counts = corpus.merge_counts(
-        corpus.build_vocab(pair_corpus, "source"),
-        corpus.build_vocab(pair_corpus, "target"),
-    )
+    pairs = corpus.load_parallel(src, tgt).pairs
+    # source words first, then the target words not seen yet
+    counts = corpus.count_words([s for s, _ in pairs] + [t for _, t in pairs])
     table = bpe.learn_bpe(counts, merges)
     bpe.write_merges(table, out / MERGES)
 
@@ -294,10 +278,7 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
 
     # the subword vocabulary that constrains the intermediate sequences is
     # counted over the segmented target side only
-    tgt_vocab: dict[str, int] = {}
-    for sentence in tgt_bpe:
-        for token in sentence:
-            tgt_vocab[token] = tgt_vocab.get(token, 0) + 1
+    tgt_vocab = corpus.count_words(tgt_bpe)
     corpus.write_vocab(tgt_vocab, out / TGT_VOCAB)
 
     constrained = bpe.make_segmenter(table, tgt_vocab, vocab_threshold)
@@ -312,27 +293,15 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
 def stage_augment(
     out: Path, segments: Sequence[augment.SegmentKind], mode: str
 ) -> None:
-    src_sentences = corpus.read_sentences(out / SRC_BPE)
-    tgt_sentences = corpus.read_sentences(out / TGT_BPE)
-    lex_sentences = corpus.read_sentences(out / LEX_BPE)
-    ali_sentences = corpus.read_sentences(out / ALI_BPE)
-    lengths = {
-        len(src_sentences),
-        len(tgt_sentences),
-        len(lex_sentences),
-        len(ali_sentences),
-    }
-    if len(lengths) != 1:
-        raise PipelineError(
-            "segmented corpus files disagree on line count: "
-            f"src={len(src_sentences)}, tgt={len(tgt_sentences)}, "
-            f"lex={len(lex_sentences)}, ali={len(ali_sentences)}"
-        )
+    # in the field order of SegmentSet: source, tgt, lex, ali
+    files = [
+        (out / name, corpus.read_sentences(out / name))
+        for name in (SRC_BPE, TGT_BPE, LEX_BPE, ALI_BPE)
+    ]
+    corpus.check_line_counts(*files)
     segment_sets = [
-        augment.SegmentSet(source=src, tgt=tgt, lex=lex, ali=ali)
-        for src, tgt, lex, ali in zip(
-            src_sentences, tgt_sentences, lex_sentences, ali_sentences
-        )
+        augment.SegmentSet(*segments)
+        for segments in zip(*(sentences for _, sentences in files))
     ]
     examples = augment.augment_corpus(segment_sets, segments, mode)
     augment.write_augmented(
@@ -379,8 +348,8 @@ def write_run_manifest(config: argparse.Namespace, out: Path) -> None:
             name: _sha256_file(out / name) for name in PIPELINE_ARTIFACTS
         },
     }
-    (out / RUN_MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    corpus.write_lines(
+        out / RUN_MANIFEST, [json.dumps(manifest, indent=2, sort_keys=True)]
     )
 
 
@@ -460,15 +429,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_mbr(args: argparse.Namespace) -> int:
     kind = _parse_utility(args.utility)
     candidate_files = [corpus.read_sentences(path) for path in args.candidates]
-    counts = {len(lines) for lines in candidate_files}
-    if len(counts) > 1:
-        raise ScoringError(
-            "candidate files disagree on line count: "
-            + ", ".join(
-                f"{path}={len(lines)}"
-                for path, lines in zip(args.candidates, candidate_files)
-            )
-        )
+    corpus.check_line_counts(*zip(args.candidates, candidate_files))
     consensus: list[corpus.Sentence] = []
     score_lines: list[str] = []
     for pool in zip(*candidate_files):
@@ -481,15 +442,14 @@ def cmd_mbr(args: argparse.Namespace) -> int:
         score_lines.append("\t".join(cells))
     corpus.write_sentences(consensus, args.output)
     if args.scores:
-        Path(args.scores).write_text(
-            "".join(line + "\n" for line in score_lines), encoding="utf-8"
-        )
+        corpus.write_lines(args.scores, score_lines)
     return 0
 
 
 def cmd_bleu(args: argparse.Namespace) -> int:
     hypotheses = corpus.read_sentences(args.hyp)
     references = corpus.read_sentences(args.ref)
+    corpus.check_line_counts((args.hyp, hypotheses), (args.ref, references))
     report = bleu.corpus_bleu(hypotheses, references)
     print(report.format())
     return 0

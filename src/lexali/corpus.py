@@ -1,25 +1,34 @@
-"""Parallel corpus loading, validation and vocabulary counting.
+"""Line files: reading, writing, line-count checks, corpus validation and
+word counts.
 
-Corpus files are UTF-8 plain text with LF line endings, one sentence per
-line, tokens separated by spaces. Input is assumed pre-tokenized; runs of
-whitespace collapse to a single separator. Tokens containing angle brackets
-are rejected at load time so that segment markers (``<lex>``, ``<ali>``,
-``<tgt>``), permutation control tokens and the aligner's internal NULL word
-can never collide with corpus content.
+Every file lexali reads or writes is UTF-8 text with LF line endings, one
+record per line, and every module reads and writes them through this one.
+A reader names the file on an unreadable file or a bad byte. A writer
+replaces its file whole, through a temporary file, so a failed write leaves
+the previous bytes in place. Files whose lines must correspond are compared
+with ``check_line_counts``, which names every file.
+
+Corpus files hold one sentence per line, tokens separated by spaces. Input
+is assumed pre-tokenized; runs of whitespace collapse to a single
+separator. Tokens containing angle brackets are rejected at load time so
+that segment markers (``<lex>``, ``<ali>``, ``<tgt>``), permutation control
+tokens and the aligner's internal NULL word can never collide with corpus
+content.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sized
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal
+from typing import TextIO
 
 from .errors import CorpusFormatError
 
 Sentence = tuple[str, ...]
-Side = Literal["source", "target"]
 
 
 @dataclass(frozen=True)
@@ -29,25 +38,59 @@ class ParallelCorpus:
     pairs: tuple[tuple[Sentence, Sentence], ...]
 
 
-def _decode(path: str | Path) -> str:
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file, split at "\\n" only, without line ends."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        return raw.decode("utf-8")
+        lines = raw.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(
             f"{path}: invalid UTF-8 at byte offset {exc.start}"
         ) from exc
-
-
-def _split_lines(text: str) -> list[str]:
-    lines = text.split("\n")
     # a trailing newline produces one empty trailing element, not a line
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     return lines
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle whose content replaces ``path`` whole.
+
+    The text goes to ``<path>.tmp``, which is moved over ``path`` when the
+    block ends; if anything fails, the temporary file is removed and
+    ``path`` keeps its old bytes. A symlink is written through, not
+    replaced: the file it points to is the one replaced.
+    """
+    target = os.path.realpath(path)
+    tmp = Path(f"{target}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Replace ``path`` with the lines, each followed by "\\n"."""
+    with replacing(path) as handle:
+        for line in lines:
+            handle.write(line + "\n")
+
+
+def check_line_counts(*files: tuple[str | Path, Sized]) -> None:
+    """Require the same number of lines in every (path, lines) pair."""
+    if len({len(lines) for _, lines in files}) > 1:
+        raise CorpusFormatError(
+            "line counts disagree: "
+            + ", ".join(f"{path}={len(lines)}" for path, lines in files)
+        )
 
 
 def _parse_line(line: str, path: str | Path, lineno: int) -> Sentence:
@@ -66,7 +109,7 @@ def load_sentences(path: str | Path) -> list[Sentence]:
     """Read and validate one corpus side: no empty lines, no reserved tokens."""
     return [
         _parse_line(line, path, lineno)
-        for lineno, line in enumerate(_split_lines(_decode(path)), start=1)
+        for lineno, line in enumerate(read_lines(path), start=1)
     ]
 
 
@@ -77,14 +120,11 @@ def read_sentences(path: str | Path) -> list[Sentence]:
     (candidate translations, decoded output, reordered sequences) that may
     legitimately contain marker tokens or blank lines.
     """
-    return [tuple(line.split()) for line in _split_lines(_decode(path))]
+    return [tuple(line.split()) for line in read_lines(path)]
 
 
 def write_sentences(sentences: Iterable[Sentence], path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(" ".join(sentence) + "\n" for sentence in sentences),
-        encoding="utf-8",
-    )
+    write_lines(path, map(" ".join, sentences))
 
 
 def load_parallel(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
@@ -93,13 +133,9 @@ def load_parallel(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     Raises CorpusFormatError naming the offending file and line for encoding
     problems, empty lines, reserved tokens, or a line-count mismatch.
     """
-    src_lines = _split_lines(_decode(src_path))
-    tgt_lines = _split_lines(_decode(tgt_path))
-    if len(src_lines) != len(tgt_lines):
-        raise CorpusFormatError(
-            f"line count mismatch: {src_path} has {len(src_lines)} lines, "
-            f"{tgt_path} has {len(tgt_lines)}"
-        )
+    src_lines = read_lines(src_path)
+    tgt_lines = read_lines(tgt_path)
+    check_line_counts((src_path, src_lines), (tgt_path, tgt_lines))
     pairs = []
     for lineno, (src_line, tgt_line) in enumerate(
         zip(src_lines, tgt_lines), start=1
@@ -110,36 +146,18 @@ def load_parallel(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     return ParallelCorpus(pairs=tuple(pairs))
 
 
-def build_vocab(corpus: ParallelCorpus, side: Side) -> dict[str, int]:
-    """Count word frequencies on one side.
-
-    Iteration order of the result is first-occurrence order, which keeps
-    everything built on top of it deterministic.
-    """
-    if side not in ("source", "target"):
-        raise ValueError(f"unknown side: {side!r}")
-    if not corpus.pairs:
-        raise CorpusFormatError("cannot build a vocabulary from an empty corpus")
-    index = 0 if side == "source" else 1
+def count_words(sentences: Iterable[Sentence]) -> Counter[str]:
+    """Count word frequencies, in first-seen order, which keeps everything
+    built on top of the counts deterministic."""
     counts: Counter[str] = Counter()
-    for pair in corpus.pairs:
-        counts.update(pair[index])
-    return dict(counts)
+    for sentence in sentences:
+        counts.update(sentence)
+    if not counts:
+        raise CorpusFormatError("cannot build a vocabulary from an empty corpus")
+    return counts
 
 
 def write_vocab(vocab: dict[str, int], path: str | Path) -> None:
     """Write "token count" lines, most frequent first, ties alphabetical."""
     items = sorted(vocab.items(), key=lambda item: (-item[1], item[0]))
-    Path(path).write_text(
-        "".join(f"{token} {count}\n" for token, count in items),
-        encoding="utf-8",
-    )
-
-
-def merge_counts(*vocabs: dict[str, int]) -> dict[str, int]:
-    """Sum several frequency maps, preserving first-seen key order."""
-    total: dict[str, int] = {}
-    for vocab in vocabs:
-        for word, count in vocab.items():
-            total[word] = total.get(word, 0) + count
-    return total
+    write_lines(path, (f"{token} {count}" for token, count in items))

@@ -10,8 +10,9 @@ class LexaliError(Exception):
 
 
 class CorpusFormatError(LexaliError):
-    """Malformed corpus file: bad encoding, empty line, reserved token,
-    or mismatched line counts."""
+    """A line file that cannot be read, decoded or written, files whose
+    line counts disagree, or a corpus line that is empty or holds a
+    reserved token."""
 
 
 class SegmentationError(LexaliError):

@@ -40,7 +40,7 @@ from operator import truediv
 from pathlib import Path
 from typing import Literal
 
-from .corpus import ParallelCorpus, Sentence, _decode, _split_lines
+from .corpus import ParallelCorpus, Sentence, read_lines, write_lines
 from .errors import AlignmentError, CorpusFormatError
 
 Direction = Literal["tgt_to_src", "src_to_tgt"]
@@ -205,26 +205,20 @@ def write_table(table: TranslationTable, path: str | Path) -> None:
 
     Probabilities use repr, so reading the file back is bit-exact.
     """
-    lines = []
-    for e in sorted(table.probs):
-        row = table.probs[e]
-        for f in sorted(row):
-            lines.append(f"{e} {f} {row[f]!r}")
-    Path(path).write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
+    write_lines(path, (
+        f"{e} {f} {row[f]!r}"
+        for e, row in sorted(table.probs.items())
+        for f in sorted(row)
+    ))
 
 
 def write_alignments(alignments: Iterable[Links], path: str | Path) -> None:
     """One Pharaoh-style line per sentence: "i-j" pairs with the
     conditioning position first; NULL links are omitted."""
-    lines = []
-    for links in alignments:
-        cells = [f"{i}-{j}" for j, i in enumerate(links) if i is not None]
-        lines.append(" ".join(cells))
-    Path(path).write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
+    write_lines(path, (
+        " ".join([f"{i}-{j}" for j, i in enumerate(links) if i is not None])
+        for links in alignments
+    ))
 
 
 def _read_pharaoh(
@@ -240,7 +234,7 @@ def _read_pharaoh(
     or a position at or past its bound, names path:line. Rules on repeated
     positions belong to the callers.
     """
-    lines = _split_lines(_decode(path))
+    lines = read_lines(path)
     if len(lines) != len(lengths):
         raise AlignmentError(
             f"{path}: {len(lines)} lines for {len(lengths)} sentence pairs"

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import ParallelCorpus, _decode, _split_lines
+from .corpus import ParallelCorpus, read_lines, write_lines
 from .errors import AlignmentError
 from .model1 import Links, _read_pharaoh
 
@@ -70,12 +70,9 @@ def write_links(
     alignments: Sequence[OneToOneAlignment], path: str | Path
 ) -> None:
     """One line per sentence of sorted "i-j" cells, source position first."""
-    lines = [
-        " ".join(f"{i}-{j}" for i, j in sorted(links)) for links in alignments
-    ]
-    Path(path).write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
+    write_lines(path, (
+        " ".join([f"{i}-{j}" for i, j in sorted(links)]) for links in alignments
+    ))
 
 
 def read_links(
@@ -105,13 +102,10 @@ def read_links(
 
 def write_lexicon(lexicon: BilingualLexicon, path: str | Path) -> None:
     """Tab-separated "source target count" lines sorted by source word."""
-    lines = [
+    write_lines(path, (
         f"{src}\t{tgt}\t{count}"
         for src, (tgt, count) in sorted(lexicon.entries.items())
-    ]
-    Path(path).write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
+    ))
 
 
 def read_lexicon(path: str | Path) -> BilingualLexicon:
@@ -121,7 +115,7 @@ def read_lexicon(path: str | Path) -> BilingualLexicon:
     non-negative integer count.
     """
     entries: dict[str, tuple[str, int]] = {}
-    for lineno, line in enumerate(_split_lines(_decode(path)), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         parts = line.split("\t")
         if len(parts) != 3:
             raise AlignmentError(

@@ -1,6 +1,7 @@
 """Byte-pair encoding: learning, application, undo, file round trips."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -204,11 +205,48 @@ def test_merge_file_bad_line(tmp_path):
     ("text", "message"),
     [("a b\nc\n", r"merges\.txt:2: expected 'left right'"),
      ("#version: x\na b\nc d\na b\n", r"merges\.txt:4: merge 'a b' listed twice"),
-     ("#version: x\n b\n", r"merges\.txt:2: empty symbol in ' b'")],
-    ids=["headerless-line-number", "repeated", "empty-symbol"],
+     ("#version: x\n b\n", r"merges\.txt:2: empty symbol in ' b'"),
+     ("#version: x\r\na b\r\n", r"merges\.txt:2: whitespace in a symbol in 'a b\\r'")],
+    ids=["headerless-line-number", "repeated", "empty-symbol", "crlf"],
 )
 def test_merge_file_line_rejected(tmp_path, text, message):
     path = tmp_path / "merges.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(SegmentationError, match=message):
+        bpe.read_merges(path)
+
+
+# a merge symbol: non-empty, with no character str.split() splits on
+SYMBOL = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4
+).filter(lambda symbol: symbol.split() == [symbol])
+# a line read_merges must reject anywhere after the header
+BAD_MERGE_LINE = st.one_of(
+    st.just(""),
+    SYMBOL,
+    st.tuples(SYMBOL, SYMBOL, SYMBOL).map(" ".join),
+    st.tuples(SYMBOL, SYMBOL).map(lambda pair: f"{pair[0]} {pair[1]}\r"),
+    st.tuples(SYMBOL, SYMBOL).map("\t".join),
+    st.tuples(SYMBOL, SYMBOL, SYMBOL).map(lambda s: f"{s[0]}\t{s[1]} {s[2]}"),
+    SYMBOL.map(lambda symbol: f" {symbol}"),
+    SYMBOL.map(lambda symbol: f"{symbol} "),
+)
+
+
+@given(
+    merges=st.lists(st.tuples(SYMBOL, SYMBOL), unique=True, max_size=8),
+    line_index=st.integers(0, 8),
+    bad_line=BAD_MERGE_LINE,
+)
+def test_merge_file_round_trip_and_bad_line(tmp_path_factory, merges, line_index, bad_line):
+    table = bpe.MergeTable(tuple(merges))
+    path = tmp_path_factory.mktemp("merges") / "bpe.merges"
+    bpe.write_merges(table, path)
+    assert bpe.read_merges(path) == table
+    # bytes, not text: universal newlines would split a line holding "\r"
+    lines = path.read_bytes().decode("utf-8").split("\n")[:-1]
+    index = 1 + line_index % len(lines)
+    lines.insert(index, bad_line)
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    with pytest.raises(SegmentationError, match=re.escape(f"{path}:{index + 1}: ")):
         bpe.read_merges(path)

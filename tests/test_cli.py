@@ -2,13 +2,16 @@
 
 import argparse
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lexali import cli
-from lexali.errors import ConfigError
+from lexali import augment, cli
+from lexali.errors import ConfigError, PermutationError
 
 DATA = resources.files("lexali") / "data"
 
@@ -159,6 +162,44 @@ class TestConfig:
             cli._parse_int("five", "iterations", 1)
         with pytest.raises(ConfigError):
             cli._parse_int("0", "iterations", 1)
+
+
+# a config value: no "#", which starts a comment, and no line break
+CONFIG_VALUE = st.text(
+    st.characters(blacklist_characters="#\n", blacklist_categories=("Cs",)), max_size=8
+).map(str.strip).filter(bool)
+# a line read_config_file must reject wherever it stands
+BAD_CONFIG_LINE = st.one_of(
+    st.text("abc xyz\t\r", max_size=8).filter(str.strip),
+    st.text("abcxyz_", max_size=8).filter(lambda key: key not in cli.OPTIONS).map(
+        lambda key: f"{key} = 1"
+    ),
+    st.sampled_from(list(cli.OPTIONS)).map(lambda key: f"{key} =\r"),
+)
+
+
+@given(
+    values=st.dictionaries(st.sampled_from(list(cli.OPTIONS)), CONFIG_VALUE),
+    line_index=st.integers(0, 10),
+    bad_line=BAD_CONFIG_LINE,
+)
+def test_config_file_round_trip_and_bad_line(tmp_path_factory, values, line_index, bad_line):
+    path = tmp_path_factory.mktemp("config") / "run.conf"
+    lines = ["# settings", "", *(f"{key} = {value}" for key, value in values.items())]
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    assert cli.read_config_file(path) == values
+    index = line_index % (len(lines) + 1)
+    lines.insert(index, bad_line)
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:{index + 1}: ")):
+        cli.read_config_file(path)
+
+
+def test_config_file_invalid_utf8_exits_cleanly(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"iterations = 3\n\xff = 1\n")
+    assert run(["pipeline", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: {config}: invalid UTF-8 at byte offset 15\n"
 
 
 # one bad value per option: the stage subcommand and the pipeline must fail
@@ -358,6 +399,56 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"{cli.LEXICON}:{len(lines) + 1}: {message}" in err
 
+    def test_failed_rewrite_keeps_previous_artifacts(
+        self, tmp_path, toy_args, capsys, monkeypatch
+    ):
+        out = tmp_path / "run"
+        assert run(["pipeline", *toy_args]) == 0
+        assert not list(out.glob("*.tmp"))
+        names = (cli.AUG_SRC, cli.AUG_TGT, cli.AUG_MANIFEST)
+        before = {name: (out / name).read_bytes() for name in names}
+
+        build = augment.augment_corpus
+
+        def one_example_then_fail(segment_sets, segments, mode):
+            yield build(segment_sets, segments, mode)[0]
+            raise PermutationError("stopped after one example")
+
+        monkeypatch.setattr(augment, "augment_corpus", one_example_then_fail)
+        assert run(["augment", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: stopped after one example\n"
+        assert {name: (out / name).read_bytes() for name in names} == before
+        assert not list(out.glob("*.tmp"))
+
+    @pytest.mark.parametrize("stage", ["ali", "augment"])
+    def test_line_count_mismatch_names_every_file(self, tmp_path, toy_args, capsys, stage):
+        out = tmp_path / "run"
+        assert run(["pipeline", *toy_args]) == 0
+        if stage == "ali":
+            short = tmp_path / "one.tgt"
+            short.write_text(Path(data_path("toy.tgt")).read_text().splitlines()[0] + "\n")
+            argv = ["ali", "--tgt", short, "--out", out]
+            counts = f"{out / cli.LEX_WORDS}=2, {short}=1"
+        else:
+            short = out / cli.ALI_BPE
+            short.write_text(short.read_text().splitlines()[0] + "\n")
+            argv = ["augment", "--out", out]
+            counts = ", ".join(
+                f"{out / name}={1 if name == cli.ALI_BPE else 2}"
+                for name in (cli.SRC_BPE, cli.TGT_BPE, cli.LEX_BPE, cli.ALI_BPE)
+            )
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: line counts disagree: {counts}\n"
+
+    def test_bpe_learn_empty_corpus_rejected(self, tmp_path, capsys):
+        for side in ("src", "tgt"):
+            (tmp_path / f"empty.{side}").write_text("")
+        assert run(["bpe-learn", "--src", tmp_path / "empty.src",
+                    "--tgt", tmp_path / "empty.tgt", "--out", tmp_path / "run"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot build a vocabulary from an empty corpus\n"
+        )
+
     def test_subcommand_missing_artifacts_fails(self, tmp_path, capsys):
         # ali requires earlier artifacts; point at an empty directory
         assert run(["ali", "--tgt", data_path("toy.tgt"), "--out", tmp_path]) == 1
@@ -435,7 +526,22 @@ class TestDecodingCommands:
             "mbr", tmp_path / "c0.txt", tmp_path / "c1.txt",
             "--output", tmp_path / "o.txt",
         ]) == 1
-        assert "line count" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: line counts disagree: {tmp_path / 'c0.txt'}=2, {tmp_path / 'c1.txt'}=1\n"
+        )
+
+    @pytest.mark.parametrize("command", ["mbr", "extract"])
+    def test_unwritable_output_exits_cleanly(self, tmp_path, capsys, command):
+        lines = tmp_path / "lines.txt"
+        lines.write_text("<tgt> a\n", encoding="utf-8")
+        output = tmp_path / "missing" / "out.txt"
+        if command == "mbr":
+            argv = ["mbr", lines, lines, "--output", output]
+        else:
+            argv = ["extract", "--input", lines, "--kind", "tgt", "--output", output]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {output}: ")
+        assert not (tmp_path / "missing").exists()
 
     def test_bleu_output(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
@@ -450,7 +556,7 @@ class TestDecodingCommands:
         hyp.write_text("a\n", encoding="utf-8")
         ref.write_text("a\nb\n", encoding="utf-8")
         assert run(["bleu", "--hyp", hyp, "--ref", ref]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: line counts disagree: {hyp}=1, {ref}=2\n"
 
 
 def test_missing_input_file_exits_cleanly(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Corpus file loading, validation and vocabulary counting."""
+"""Line files: loading, validation, replacing writes and word counts."""
 
 import random
 
@@ -112,31 +112,45 @@ def test_read_sentences_allows_empty_lines(tmp_path):
     assert corpus.read_sentences(path) == [("a", "b"), (), ("c",)]
 
 
+def test_failed_write_keeps_previous_bytes(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old line\n")
+
+    def lines():
+        yield "new line"
+        raise ValueError("stopped after one line")
+
+    with pytest.raises(ValueError, match="stopped after one line"):
+        corpus.write_lines(path, lines())
+    assert path.read_bytes() == b"old line\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def test_write_through_symlink_keeps_the_link(tmp_path):
+    (tmp_path / "target.txt").write_bytes(b"old line\n")
+    (tmp_path / "link.txt").symlink_to("target.txt")
+    corpus.write_lines(tmp_path / "link.txt", ["new line"])
+    assert (tmp_path / "link.txt").is_symlink()
+    assert (tmp_path / "target.txt").read_bytes() == b"new line\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
 class TestVocab:
-    def corpus(self):
-        return corpus.ParallelCorpus(
-            pairs=(
-                (("a", "b", "a"), ("x",)),
-                (("b", "c"), ("x", "y")),
-            )
-        )
+    SOURCES = [("a", "b", "a"), ("b", "c")]
 
     def test_counts(self):
-        assert corpus.build_vocab(self.corpus(), "source") == {
-            "a": 2,
-            "b": 2,
-            "c": 1,
-        }
-        assert corpus.build_vocab(self.corpus(), "target") == {"x": 2, "y": 1}
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError):
-            corpus.build_vocab(self.corpus(), "middle")
+        assert list(corpus.count_words(self.SOURCES).items()) == [
+            ("a", 2), ("b", 2), ("c", 1),
+        ]
+        # source sentences, then target ones: the order bpe-learn counts in
+        counted = corpus.count_words([*self.SOURCES, ("x",), ("c", "x", "y")])
+        assert list(counted.items()) == [
+            ("a", 2), ("b", 2), ("c", 2), ("x", 2), ("y", 1),
+        ]
 
     def test_empty_corpus_rejected(self):
-        empty = corpus.ParallelCorpus(pairs=())
-        with pytest.raises(CorpusFormatError):
-            corpus.build_vocab(empty, "source")
+        with pytest.raises(CorpusFormatError, match="from an empty corpus"):
+            corpus.count_words([])
 
     def test_vocab_file_round_trip(self, tmp_path):
         vocab = {"low": 5, "er": 2, "aa": 2}
@@ -144,7 +158,3 @@ class TestVocab:
         # sorted by count desc, then token
         text = (tmp_path / "v.txt").read_text(encoding="utf-8")
         assert text == "low 5\naa 2\ner 2\n"
-
-    def test_merge_counts(self):
-        merged = corpus.merge_counts({"a": 1, "b": 2}, {"b": 3, "c": 4})
-        assert merged == {"a": 1, "b": 5, "c": 4}
