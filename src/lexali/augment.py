@@ -13,12 +13,8 @@ segment (an empty sequence).
 Everything that depends only on the segment order (the control token, the
 markers and where each segment sits in the target) is planned once per
 ``augment_corpus`` call, so the per-example work is tuple concatenation and
-indexing. ``augment_corpus`` still returns one ``list[AugmentedExample]``,
-not a generator: callers take its ``len()`` (the benchmark counts examples
-that way) and the list is the unit the tests compare. ``write_augmented``
-writes each example's three lines straight to the three files, each
-replaced whole once every example is written, with the manifest's control
-digits formatted once per order.
+indexing. ``augment_corpus`` returns a list, not a generator: callers take
+its ``len()`` and the tests compare it.
 """
 
 from __future__ import annotations
@@ -185,15 +181,15 @@ def write_augmented(
     tgt_path: str | Path,
     manifest_path: str | Path,
 ) -> None:
-    """Write augmented source/target files plus a sidecar manifest.
+    """Write augmented source/target files plus a sidecar manifest; each is
+    replaced whole, the three renamed one after another.
 
     Manifest lines are tab-separated: sentence index, control digits, then
     one token count per segment in emission order.
     """
     digits: dict[tuple[SegmentKind, ...], str] = {}
-    with replacing(src_path) as src, replacing(tgt_path) as tgt, replacing(
-        manifest_path
-    ) as manifest:
+    with replacing(src_path) as write_src, replacing(tgt_path) as write_tgt, \
+            replacing(manifest_path) as write_manifest:
         for example in examples:
             order = example.order
             order_digits = digits.get(order)
@@ -201,9 +197,9 @@ def write_augmented(
                 order_digits = digits[order] = "".join(
                     kind.digit for kind in order
                 )
-            src.write(" ".join(example.source_tokens) + "\n")
-            tgt.write(" ".join(example.target_tokens) + "\n")
-            manifest.write(
+            write_src(" ".join(example.source_tokens) + "\n")
+            write_tgt(" ".join(example.target_tokens) + "\n")
+            write_manifest(
                 f"{example.sentence_index}\t{order_digits}\t"
                 + "\t".join(map(str, example.segment_lengths))
                 + "\n"

@@ -45,19 +45,15 @@ class MergeTable:
     """Ordered merge operations; earlier entries have lower rank."""
 
     merges: tuple[Pair, ...]
-    _ranks: dict[Pair, int] = field(init=False, repr=False, compare=False)
+    ranks: dict[Pair, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._ranks = {pair: rank for rank, pair in enumerate(self.merges)}
-        if len(self._ranks) != len(self.merges):
+        self.ranks = {pair: rank for rank, pair in enumerate(self.merges)}
+        if len(self.ranks) != len(self.merges):
             raise SegmentationError("merge table contains duplicate pairs")
 
     def __len__(self) -> int:
         return len(self.merges)
-
-    @property
-    def ranks(self) -> dict[Pair, int]:
-        return self._ranks
 
 
 def _check_word(word: str) -> str:

@@ -290,18 +290,13 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
         corpus.write_sentences(segmented, out / out_name)
 
 
-def stage_augment(
-    out: Path, segments: Sequence[augment.SegmentKind], mode: str
-) -> None:
-    # in the field order of SegmentSet: source, tgt, lex, ali
-    files = [
-        (out / name, corpus.read_sentences(out / name))
-        for name in (SRC_BPE, TGT_BPE, LEX_BPE, ALI_BPE)
-    ]
-    corpus.check_line_counts(*files)
+def stage_augment(out: Path, segments: Sequence[augment.SegmentKind], mode: str) -> None:
+    paths = [out / name for name in (SRC_BPE, TGT_BPE, LEX_BPE, ALI_BPE)]
+    sides = [corpus.read_sentences(path) for path in paths]
+    corpus.check_line_counts(*zip(paths, sides))
     segment_sets = [
-        augment.SegmentSet(*segments)
-        for segments in zip(*(sentences for _, sentences in files))
+        augment.SegmentSet(source=src, tgt=tgt, lex=lex, ali=ali)
+        for src, tgt, lex, ali in zip(*sides)
     ]
     examples = augment.augment_corpus(segment_sets, segments, mode)
     augment.write_augmented(

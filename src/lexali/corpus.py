@@ -2,11 +2,9 @@
 word counts.
 
 Every file lexali reads or writes is UTF-8 text with LF line endings, one
-record per line, and every module reads and writes them through this one.
-A reader names the file on an unreadable file or a bad byte. A writer
-replaces its file whole, through a temporary file, so a failed write leaves
-the previous bytes in place. Files whose lines must correspond are compared
-with ``check_line_counts``, which names every file.
+record per line, read and written through this module. A reader names the
+file on an unreadable file or a bad byte; a failed write leaves a regular
+file's previous bytes in place; ``check_line_counts`` names every file.
 
 Corpus files hold one sentence per line, tokens separated by spaces. Input
 is assumed pre-tokenized; runs of whitespace collapse to a single
@@ -20,11 +18,11 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sized
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Iterator, Sized
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import TextIO
 
 from .errors import CorpusFormatError
 
@@ -56,32 +54,53 @@ def read_lines(path: str | Path) -> list[str]:
     return lines
 
 
-@contextmanager
-def replacing(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text handle whose content replaces ``path`` whole.
+def _cannot_write(path: str | Path, exc: OSError) -> CorpusFormatError:
+    return CorpusFormatError(f"cannot write {path}: {exc.strerror or exc}")
 
-    The text goes to ``<path>.tmp``, which is moved over ``path`` when the
-    block ends; if anything fails, the temporary file is removed and
-    ``path`` keeps its old bytes. A symlink is written through, not
-    replaced: the file it points to is the one replaced.
-    """
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[Callable[[str], None]]:
+    """Yield a function writing UTF-8 text to ``<path>.tmp``, which replaces
+    the file ``path`` names (through a symlink) when the block ends. On a
+    failure it is removed and ``path`` keeps its old bytes. A device or pipe
+    (``/dev/null``, ``/dev/stdout``) is written directly, since a rename
+    would replace it. A failed file operation raises "cannot write <path>";
+    any other exception from the block passes unchanged."""
+    direct = os.path.exists(path) and not os.path.isfile(path)
     target = os.path.realpath(path)
-    tmp = Path(f"{target}.tmp")
+    tmp = path if direct else f"{target}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
-        os.replace(tmp, target)
+        handle = open(tmp, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise CorpusFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _cannot_write(path, exc) from exc
+
+    def write(text: str) -> None:
+        try:
+            handle.write(text)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
+
+    try:
+        yield write
+        try:
+            handle.close()
+            if not direct:
+                os.replace(tmp, target)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):
+            handle.close()  # a no-op once closed
+        if not direct:
+            Path(tmp).unlink(missing_ok=True)
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Replace ``path`` with the lines, each followed by "\\n"."""
-    with replacing(path) as handle:
-        for line in lines:
-            handle.write(line + "\n")
+    """Replace ``path`` with the lines, each followed by "\\n", 1024 at a time."""
+    lines = iter(lines)
+    with replacing(path) as write:
+        while chunk := list(islice(lines, 1024)):
+            write("\n".join(chunk) + "\n")
 
 
 def check_line_counts(*files: tuple[str | Path, Sized]) -> None:

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -542,6 +545,26 @@ class TestDecodingCommands:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {output}: ")
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("command", ["mbr", "extract"])
+    def test_output_to_stdout_pipe(self, tmp_path, command):
+        lines = tmp_path / "lines.txt"
+        lines.write_text("<tgt> a\n", encoding="utf-8")
+        if command == "mbr":
+            argv = ["mbr", lines, lines, "--output", "/dev/stdout"]
+        else:
+            argv = ["extract", "--input", lines, "--kind", "tgt", "--output", "/dev/stdout"]
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        result = subprocess.run(
+            [sys.executable, "-m", "lexali.cli", *map(str, argv)],
+            capture_output=True, env=env, check=False,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == (b"<tgt> a\n" if command == "mbr" else b"a\n")
 
     def test_bleu_output(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"

@@ -1,6 +1,8 @@
 """Line files: loading, validation, replacing writes and word counts."""
 
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import given
@@ -124,6 +126,68 @@ def test_failed_write_keeps_previous_bytes(tmp_path):
         corpus.write_lines(path, lines())
     assert path.read_bytes() == b"old line\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 1024, 1025, 2500])
+def test_write_lines_across_chunk_boundaries(tmp_path, count):
+    lines = [f"line {i}" for i in range(count)]
+    corpus.write_lines(tmp_path / "out.txt", (line for line in lines))
+    assert (tmp_path / "out.txt").read_bytes() == "".join(
+        line + "\n" for line in lines
+    ).encode("utf-8")
+
+
+def test_error_from_the_lines_passes_unchanged(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old line\n")
+
+    def lines():
+        yield "new line"
+        raise FileNotFoundError(2, "No such file or directory", "input.txt")
+
+    # an input that cannot be read is not reported as "cannot write out.txt"
+    with pytest.raises(FileNotFoundError):
+        corpus.write_lines(path, lines())
+    assert path.read_bytes() == b"old line\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_write_into_a_pipe_keeps_the_pipe(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        corpus.write_lines(fifo, ["a", "b"])
+        assert os.read(reader, 64) == b"a\nb\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+@pytest.fixture
+def no_rename(monkeypatch):
+    """Make a rename fail, so that a wrong one cannot replace a real device."""
+
+    def refuse(*args):
+        raise AssertionError("a device node must not be renamed over")
+
+    monkeypatch.setattr(os, "replace", refuse)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+def test_write_into_a_device_keeps_the_device(no_rename):
+    corpus.write_lines(os.devnull, ["a"])
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_into_a_device_names_it(no_rename):
+    # every write to /dev/full fails with ENOSPC, here when the file is closed
+    with pytest.raises(CorpusFormatError, match="^cannot write /dev/full: "):
+        corpus.write_lines("/dev/full", ["a"])
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
 
 def test_write_through_symlink_keeps_the_link(tmp_path):
