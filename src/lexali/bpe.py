@@ -5,7 +5,12 @@ sentinel. The sentinel marks the boundary but never takes part in a merge,
 so merge operations only ever join in-word character material. Merges are
 learned greedily: at each step the most frequent adjacent symbol pair wins,
 ties broken by the lexicographically smallest (left, right) pair, and
-learning stops early once no pair occurs at least twice.
+learning stops early once no pair occurs at least twice. The best pair comes
+from a lazy max-heap of (-count, pair) entries, whose order is exactly that
+tie rule; an entry whose count is no longer the pair's count is stale and
+skipped. A merge visits only the words holding its pair, and re-pushes only
+the pairs whose count it changed. Counts are exact integers, so the order
+in which the words are visited cannot change a count or a merge.
 
 Application replays merges by rank: at each step the lowest-ranked pair
 present anywhere in the word is merged at all of its non-overlapping
@@ -23,7 +28,7 @@ rendered, which is inherent to the marker convention.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,49 +78,11 @@ def _pair_stats(
     index: dict[Pair, set[int]] = {}
     for wi, symbols in enumerate(words):
         freq = freqs[wi]
-        for pair in _word_pairs(symbols):
+        # the sentinel is always the last symbol and never merges
+        for pair in zip(symbols, symbols[1:-1]):
             stats[pair] = stats.get(pair, 0) + freq
             index.setdefault(pair, set()).add(wi)
     return stats, index
-
-
-def _word_pairs(symbols: list[str]) -> list[Pair]:
-    # the sentinel is always the last symbol and never merges
-    return [
-        (symbols[i], symbols[i + 1])
-        for i in range(len(symbols) - 2)
-    ]
-
-
-def _best_pair(stats: dict[Pair, int]) -> Pair | None:
-    best: Pair | None = None
-    best_count = MIN_PAIR_COUNT - 1
-    for pair, count in stats.items():
-        if count > best_count or (
-            count == best_count and best is not None and pair < best
-        ):
-            best = pair
-            best_count = count
-    return best
-
-
-def _merge_symbols(symbols: list[str], pair: Pair) -> list[str]:
-    left, right = pair
-    joined = left + right
-    out: list[str] = []
-    i = 0
-    while i < len(symbols):
-        if (
-            i + 1 < len(symbols)
-            and symbols[i] == left
-            and symbols[i + 1] == right
-        ):
-            out.append(joined)
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return out
 
 
 def learn_bpe(word_counts: Mapping[str, int], num_merges: int) -> MergeTable:
@@ -136,33 +103,58 @@ def learn_bpe(word_counts: Mapping[str, int], num_merges: int) -> MergeTable:
         words.append(list(_check_word(word)) + [WORD_END])
         freqs.append(count)
 
+    # index[pair] holds every word that has the pair, and may still hold
+    # words that lost it (a merge pass over such a word changes nothing)
+    # until the pair's count reaches 0
     stats, index = _pair_stats(words, freqs)
+    # a pair below MIN_PAIR_COUNT is pushed only once its count reaches it,
+    # so learning stops early when the heap runs out
+    heap = [
+        (-count, pair) for pair, count in stats.items() if count >= MIN_PAIR_COUNT
+    ]
+    heapq.heapify(heap)
     merges: list[Pair] = []
-    for _ in range(num_merges):
-        best = _best_pair(stats)
-        if best is None:
-            break
+    while heap and len(merges) < num_merges:
+        negative, best = heapq.heappop(heap)
+        if stats.get(best) != -negative:
+            continue  # stale: the pair's count changed after this push
         merges.append(best)
-        for wi in sorted(index.get(best, ())):
+        left, right = best
+        joined = left + right
+        change: dict[Pair, int] = {}
+        for wi in index.pop(best):
             old = words[wi]
             freq = freqs[wi]
-            # subtract per distinct pair, weighted by its multiplicity in
-            # this word, so repeated pairs ("abab") are removed exactly once
-            for pair, mult in Counter(_word_pairs(old)).items():
-                remaining = stats[pair] - freq * mult
-                if remaining > 0:
-                    stats[pair] = remaining
+            new: list[str] = []
+            fresh = False  # whether new[-1] is a symbol this merge joined
+            last = len(old) - 1  # the sentinel never merges
+            i = 0
+            while i < last:
+                was_fresh = fresh
+                fresh = old[i] == left and i + 1 < last and old[i + 1] == right
+                symbol = joined if fresh else old[i]
+                if fresh:
+                    change[best] = change.get(best, 0) - freq
+                if new and (fresh or was_fresh):
+                    # the adjacency before this symbol changed its pair
+                    gone, made = (old[i - 1], old[i]), (new[-1], symbol)
+                    change[gone] = change.get(gone, 0) - freq
+                    change[made] = change.get(made, 0) + freq
+                    index.setdefault(made, set()).add(wi)
+                new.append(symbol)
+                i += 2 if fresh else 1
+            new.append(WORD_END)
+            words[wi] = new
+        for pair, delta in change.items():
+            if delta:
+                count = stats.get(pair, 0) + delta
+                if count:
+                    stats[pair] = count
+                    if count >= MIN_PAIR_COUNT:
+                        heapq.heappush(heap, (-count, pair))
                 else:
                     del stats[pair]
-                members = index[pair]
-                members.discard(wi)
-                if not members:
-                    del index[pair]
-            new = _merge_symbols(old, best)
-            words[wi] = new
-            for pair, mult in Counter(_word_pairs(new)).items():
-                stats[pair] = stats.get(pair, 0) + freq * mult
-                index.setdefault(pair, set()).add(wi)
+                    index.pop(pair, None)
     return MergeTable(tuple(merges))
 
 

@@ -349,7 +349,8 @@ def write_run_manifest(config: argparse.Namespace, out: Path) -> None:
 
 
 class _OutputLock:
-    """Exclusive advisory lock on the working directory."""
+    """Exclusive advisory lock on the working directory, holding the pid of
+    the run that took it."""
 
     def __init__(self, out: Path) -> None:
         self.path = out / LOCK_FILE
@@ -361,9 +362,18 @@ class _OutputLock:
                 self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
             )
         except FileExistsError:
+            owner = _lock_owner(self.path)
             raise PipelineError(
-                f"output directory is locked; remove {self.path} if no other "
-                "run is active"
+                "output directory is locked"
+                + (f" by pid {owner}" if owner else "")
+                + f"; remove {self.path} if no other run is active"
+            ) from None
+        try:
+            os.write(self._fd, f"{os.getpid()}\n".encode("ascii"))
+        except OSError as exc:
+            self.__exit__()
+            raise PipelineError(
+                f"cannot write {self.path}: {exc.strerror or exc}"
             ) from None
         return self
 
@@ -374,12 +384,26 @@ class _OutputLock:
             self._fd = None
 
 
+def _lock_owner(path: Path) -> str | None:
+    """The pid written in a lock file, or None if it holds no pid."""
+    try:
+        text = path.read_bytes().decode("ascii").strip()
+    except (OSError, UnicodeDecodeError):
+        return None
+    return text if text.isdigit() else None
+
+
 # ---------------------------------------------------------------- commands
 
 
 def _out_dir(out: str) -> Path:
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {path}: {exc.strerror or exc}"
+        ) from None
     return path
 
 

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lexali import bpe
@@ -12,6 +12,25 @@ from lexali.errors import SegmentationError
 from oracles import bpe_apply_oracle, bpe_learn_oracle
 
 WORD = st.text(alphabet="abcde", min_size=1, max_size=10)
+
+
+@st.composite
+def _learn_cases(draw):
+    alphabet = "abcd"[: draw(st.integers(2, 4))]
+    vocab = draw(
+        st.dictionaries(
+            st.text(alphabet, min_size=1, max_size=8),
+            st.integers(1, 9),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    # every merge shortens some word, so this many merges runs past the end
+    exhausted = sum(len(word) - 1 for word in vocab) + 1
+    return vocab, draw(st.integers(0, exhausted))
+
+
+LEARN_CASES = _learn_cases()
 
 
 def low_lower_table():
@@ -56,20 +75,18 @@ class TestLearn:
         with pytest.raises(SegmentationError):
             bpe.learn_bpe({"a<b": 1}, 1)
 
-    def test_matches_brute_force_learner(self):
-        rng = random.Random(13)
-        for _ in range(50):
-            vocab = {
-                "".join(
-                    rng.choice("abcd") for _ in range(rng.randint(1, 6))
-                ): rng.randint(1, 9)
-                for _ in range(rng.randint(1, 8))
-            }
-            merges = rng.randint(0, 12)
-            assert (
-                bpe.learn_bpe(vocab, merges).merges
-                == tuple(bpe_learn_oracle(vocab, merges))
-            )
+    @given(LEARN_CASES)
+    @example(({"aaaa": 3, "aaa": 2}, 10))  # overlapping repeats
+    @example(({"abab": 3, "bab": 2}, 10))  # alternating pairs
+    @example(({"xabx": 2, "ab": 3}, 10))  # (a, b) makes (x, ab) and (ab, x)
+    @example(({"ab": 2, "cd": 2}, 10))  # two pairs tied on count
+    @example(({"ba": 3, "ab": 3}, 1))  # tied, the larger pair seen first
+    def test_matches_brute_force_learner(self, case):
+        vocab, merges = case
+        assert (
+            bpe.learn_bpe(vocab, merges).merges
+            == tuple(bpe_learn_oracle(vocab, merges))
+        )
 
 
 class TestApply:

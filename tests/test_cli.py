@@ -344,7 +344,51 @@ class TestPipeline:
         out.mkdir()
         (out / cli.LOCK_FILE).touch()
         assert run(["pipeline", *toy_args]) == 1
-        assert "locked" in capsys.readouterr().err
+        # an empty lock names no owner
+        assert capsys.readouterr().err == (
+            f"error: output directory is locked; remove {out / cli.LOCK_FILE} "
+            "if no other run is active\n"
+        )
+        assert (out / cli.LOCK_FILE).read_bytes() == b""
+
+    def test_lock_names_its_owner(self, tmp_path, toy_args, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / cli.LOCK_FILE).write_text("12345", encoding="ascii")
+        assert run(["pipeline", *toy_args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output directory is locked by pid 12345; remove "
+            f"{out / cli.LOCK_FILE} if no other run is active\n"
+        )
+        assert (out / cli.LOCK_FILE).read_text(encoding="ascii") == "12345"
+
+    def test_lock_holds_the_running_pid(self, tmp_path, toy_args, monkeypatch):
+        seen = []
+        stage = cli.stage_augment
+
+        def spy(**kwargs):
+            seen.append((kwargs["out"] / cli.LOCK_FILE).read_text(encoding="ascii"))
+            stage(**kwargs)
+
+        monkeypatch.setattr(cli, "stage_augment", spy)
+        assert run(["pipeline", *toy_args]) == 0
+        assert seen == [f"{os.getpid()}\n"]
+        assert not (tmp_path / "run" / cli.LOCK_FILE).exists()
+
+    def test_lock_write_failure_releases_the_lock(
+        self, tmp_path, toy_args, capsys, monkeypatch
+    ):
+        def full(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "write", full)
+        assert run(["pipeline", *toy_args]) == 1
+        monkeypatch.undo()
+        lock = tmp_path / "run" / cli.LOCK_FILE
+        assert capsys.readouterr().err == (
+            f"error: cannot write {lock}: No space left on device\n"
+        )
+        assert not lock.exists()
 
     def test_ali_out_of_range_link_names_file_and_line(self, tmp_path, toy_args, capsys):
         out = tmp_path / "run"
@@ -580,6 +624,29 @@ class TestDecodingCommands:
         ref.write_text("a\nb\n", encoding="utf-8")
         assert run(["bleu", "--hyp", hyp, "--ref", ref]) == 1
         assert capsys.readouterr().err == f"error: line counts disagree: {hyp}=1, {ref}=2\n"
+
+
+@pytest.mark.parametrize("command", [*cli.STAGES, "pipeline"])
+@pytest.mark.parametrize(
+    ("out", "reason"),
+    [("file/x", "Not a directory"), ("file", "File exists")],
+    ids=["under-a-file", "a-file"],
+)
+def test_out_that_cannot_be_created_exits_cleanly(
+    tmp_path, capsys, command, out, reason
+):
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    out = tmp_path / out
+    names = cli.STAGES[command][1] if command in cli.STAGES else cli.OPTIONS
+    corpus_flags = [
+        flag for side in ("src", "tgt") if side in names
+        for flag in (f"--{side}", data_path(f"toy.{side}"))
+    ]
+    assert run([command, *corpus_flags, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot create output directory {out}: {reason}\n"
+    )
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_missing_input_file_exits_cleanly(tmp_path, capsys):
