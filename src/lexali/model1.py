@@ -30,6 +30,12 @@ of the result. Each denominator is summed left to right in candidate order
 interpreters), and counts and totals accumulate in corpus order, token by
 token and candidate by candidate. Tables are therefore bit-identical across
 runs and supported Python versions.
+
+The same order makes tables repeat values: two emitted words seen in the
+same sentences the same number of times receive identical shares in the same
+order, so they get bit-identical probabilities in every row, and hapaxes
+sharing a sentence are common under Zipf's law. ``write_table`` therefore
+formats each distinct probability once instead of once per entry.
 """
 
 from __future__ import annotations
@@ -62,12 +68,6 @@ class TranslationTable:
 
     direction: Direction
     probs: dict[str, dict[str, float]]
-
-    def prob(self, conditioning: str, emitted: str) -> float:
-        row = self.probs.get(conditioning)
-        if row is None:
-            return 0.0
-        return row.get(emitted, 0.0)
 
 
 def train_model1(
@@ -178,20 +178,25 @@ def viterbi_align(
     """Most probable link per emitted position under the table.
 
     Ties on a positive probability go to the smallest conditioning position;
-    NULL wins only by strict majority or when every candidate scores 0.
+    NULL wins only with a probability strictly higher than every position's,
+    or when every candidate scores 0. Each candidate's row is looked up once
+    per sentence pair; a word without a row scores 0 everywhere.
     """
     src, tgt = pair
     if table.direction == TGT_TO_SRC:
         conditioning, emitted = src, tgt
     else:
         conditioning, emitted = tgt, src
-    null_row = table.probs.get(NULL_WORD, {})
+    probs = table.probs
+    missing: dict[str, float] = {}
+    null_row = probs.get(NULL_WORD, missing)
+    rows = [probs.get(e, missing) for e in conditioning]
     links: list[int | None] = []
     for f in emitted:
         best_i: int | None = None
         best_p = null_row.get(f, 0.0)
-        for i, e in enumerate(conditioning):
-            p = table.prob(e, f)
+        for i, row in enumerate(rows):
+            p = row.get(f, 0.0)
             # once best_i is a real position, equal scores keep the earlier one
             if p > best_p or (p == best_p and p > 0.0 and best_i is None):
                 best_i = i
@@ -203,13 +208,24 @@ def viterbi_align(
 def write_table(table: TranslationTable, path: str | Path) -> None:
     """Write "conditioning emitted prob" lines sorted by the word pair.
 
-    Probabilities use repr, so reading the file back is bit-exact.
+    Probabilities use repr, so reading the file back is bit-exact. Each
+    distinct value is formatted once; zeros are not memoized, because 0.0
+    and -0.0 are equal keys with different reprs.
     """
-    write_lines(path, (
-        f"{e} {f} {row[f]!r}"
-        for e, row in sorted(table.probs.items())
-        for f in sorted(row)
-    ))
+    text: dict[float, str] = {}
+
+    def lines() -> Iterator[str]:
+        for e, row in sorted(table.probs.items()):
+            for f in sorted(row):
+                p = row[f]
+                s = text.get(p)
+                if s is None:
+                    s = repr(p)
+                    if p:
+                        text[p] = s
+                yield f"{e} {f} {s}"
+
+    write_lines(path, lines())
 
 
 def write_alignments(alignments: Iterable[Links], path: str | Path) -> None:

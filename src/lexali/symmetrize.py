@@ -111,8 +111,10 @@ def write_lexicon(lexicon: BilingualLexicon, path: str | Path) -> None:
 def read_lexicon(path: str | Path) -> BilingualLexicon:
     """Load a lexicon file.
 
-    Each source word appears once, with a non-empty target word and a
-    non-negative integer count.
+    Each source word appears once, with a target word and a non-negative
+    integer count. Both words must be corpus tokens, without whitespace or
+    angle brackets, because ``lex`` writes the target word as one token of
+    a sentence.
     """
     entries: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -124,6 +126,12 @@ def read_lexicon(path: str | Path) -> BilingualLexicon:
         src_word, tgt_word, count_text = parts
         if not (src_word and tgt_word):
             raise AlignmentError(f"{path}:{lineno}: empty source or target word")
+        for side, word in (("source", src_word), ("target", tgt_word)):
+            if word.split() != [word] or "<" in word or ">" in word:
+                raise AlignmentError(
+                    f"{path}:{lineno}: {side} word {word!r} holds whitespace "
+                    "or an angle bracket"
+                )
         if not (count_text.isascii() and count_text.isdigit()):
             raise AlignmentError(
                 f"{path}:{lineno}: count {count_text!r} is not a "

@@ -164,9 +164,44 @@ def log_likelihood(table, corpus):
         for f in emitted:
             p = 0.0
             for e in candidates:
-                p += table.prob(e, f)
+                p += table.probs.get(e, {}).get(f, 0.0)
             total += math.log(max(prior * p, FLOOR))
     return total
+
+
+def viterbi_loop_oracle(table, pair):
+    """Viterbi links that look every candidate's probability up in the
+    nested table, one (conditioning, emitted) pair at a time: the links
+    ``model1.viterbi_align`` must equal. The smallest position wins a
+    positive tie; NULL wins only when strictly higher or when all score 0."""
+    src, tgt = pair
+    if table.direction == "tgt_to_src":
+        conditioning, emitted = src, tgt
+    else:
+        conditioning, emitted = tgt, src
+    links = []
+    for f in emitted:
+        best_i = None
+        best_p = table.probs.get(NULL, {}).get(f, 0.0)
+        for i, e in enumerate(conditioning):
+            p = table.probs.get(e, {}).get(f, 0.0)
+            if p > best_p or (p == best_p and p > 0.0 and best_i is None):
+                best_i = i
+                best_p = p
+        links.append(best_i)
+    return tuple(links)
+
+
+def write_table_loop_oracle(table, path):
+    """One "conditioning emitted repr(prob)" line per entry, sorted by the
+    word pair, each value formatted where it stands: the bytes
+    ``model1.write_table`` must reproduce."""
+    lines = [
+        f"{e} {f} {row[f]!r}\n"
+        for e, row in sorted(table.probs.items())
+        for f in sorted(row)
+    ]
+    Path(path).write_bytes("".join(lines).encode("utf-8"))
 
 
 # ------------------------------------------------------------ tokenizing

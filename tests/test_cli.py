@@ -446,6 +446,23 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"{cli.LEXICON}:{len(lines) + 1}: {message}" in err
 
+    @pytest.mark.parametrize("word", ["foo bar", "<tgt>"], ids=["space", "marker"])
+    def test_lex_rejects_a_lexicon_word_that_is_not_a_token(
+        self, tmp_path, toy_args, capsys, word
+    ):
+        out = tmp_path / "run"
+        assert run(["pipeline", *toy_args]) == 0
+        lexicon = out / cli.LEXICON
+        lines = lexicon.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("buch\t")
+        lines[0] = f"buch\t{word}\t1"
+        lexicon.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        before = (out / cli.LEX_WORDS).read_bytes()
+        assert run(["lex", "--src", data_path("toy.src"), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"{cli.LEXICON}:1: target word {word!r} holds whitespace" in err
+        assert (out / cli.LEX_WORDS).read_bytes() == before
+
     def test_failed_rewrite_keeps_previous_artifacts(
         self, tmp_path, toy_args, capsys, monkeypatch
     ):

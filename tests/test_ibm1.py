@@ -5,13 +5,19 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lexali import model1
 from lexali.corpus import ParallelCorpus
 from lexali.errors import AlignmentError, CorpusFormatError
-from oracles import em_loop_oracle, em_oracle, log_likelihood
+from oracles import (
+    em_loop_oracle,
+    em_oracle,
+    log_likelihood,
+    viterbi_loop_oracle,
+    write_table_loop_oracle,
+)
 
 TOY = ParallelCorpus(
     pairs=(
@@ -42,6 +48,33 @@ def corpora(draw):
     pairs = draw(st.lists(st.tuples(SENTENCE, SENTENCE), max_size=8))
     pairs.insert(draw(st.integers(0, len(pairs))), (("a", "b", "a"), ("a",)))
     return ParallelCorpus(pairs=tuple(pairs))
+
+
+@st.composite
+def tables(draw):
+    """A table over words "a".."e" (and NULL, which may be missing) whose
+    values come from a small pool shared by every row: ties across rows and
+    within a row, zeros of both signs and empty rows all occur."""
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324]),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    words = st.sampled_from("abcde")
+    rows = draw(
+        st.dictionaries(
+            st.one_of(words, st.just(model1.NULL_WORD)),
+            st.dictionaries(words, st.sampled_from(pool), max_size=5),
+            max_size=6,
+        )
+    )
+    direction = draw(st.sampled_from([model1.TGT_TO_SRC, model1.SRC_TO_TGT]))
+    return model1.TranslationTable(direction=direction, probs=rows)
 
 
 class TestTraining:
@@ -167,6 +200,89 @@ class TestViterbi:
         table = model1.train_model1(corpus, "tgt_to_src", 5)
         for pair in corpus.pairs:
             assert model1.viterbi_align(table, pair) == (0, 1)
+
+
+class TestAgainstLoopReferences:
+    """``viterbi_align`` and ``write_table`` equal the loops that looked up
+    every candidate in the table and formatted every value where it stood."""
+
+    @given(
+        table=tables(),
+        pairs=st.lists(st.tuples(SENTENCE, SENTENCE), max_size=6),
+    )
+    # NULL ties a position, and two positions tie, on a positive value
+    @example(
+        table=model1.TranslationTable(
+            direction=model1.TGT_TO_SRC,
+            probs={model1.NULL_WORD: {"x": 0.5}, "a": {"x": 0.5}, "b": {"x": 0.5}},
+        ),
+        pairs=[(("a", "b"), ("x",)), (("b", "a", "c"), ("x", "y"))],
+    )
+    # one emitted word with different values in different rows
+    @example(
+        table=model1.TranslationTable(
+            direction=model1.SRC_TO_TGT,
+            probs={"a": {"x": 0.25, "y": 0.25}, "b": {"x": 0.75}, "c": {}},
+        ),
+        pairs=[(("x", "y"), ("b", "a"))],
+    )
+    # 0.0 and -0.0 are equal keys with different reprs
+    @example(
+        table=model1.TranslationTable(
+            direction=model1.TGT_TO_SRC, probs={"a": {"x": 0.0, "y": -0.0}}
+        ),
+        pairs=[],
+    )
+    def test_random_tables(self, tmp_path_factory, table, pairs):
+        for pair in pairs:
+            assert model1.viterbi_align(table, pair) == viterbi_loop_oracle(
+                table, pair
+            )
+        self.assert_same_file(tmp_path_factory, table)
+
+    @given(corpus=corpora(), iterations=st.integers(1, 4))
+    def test_trained_tables(self, tmp_path_factory, corpus, iterations):
+        for direction in (model1.TGT_TO_SRC, model1.SRC_TO_TGT):
+            table = model1.train_model1(corpus, direction, iterations)
+            for pair in corpus.pairs:
+                assert model1.viterbi_align(table, pair) == viterbi_loop_oracle(
+                    table, pair
+                )
+            self.assert_same_file(tmp_path_factory, table)
+
+    def assert_same_file(self, tmp_path_factory, table):
+        folder = tmp_path_factory.mktemp("table")
+        model1.write_table(table, folder / "table.txt")
+        write_table_loop_oracle(table, folder / "oracle.txt")
+        assert (folder / "table.txt").read_bytes() == (
+            folder / "oracle.txt"
+        ).read_bytes()
+
+
+@given(corpus=corpora(), data=st.data())
+def test_words_with_one_occurrence_profile_get_identical_probabilities(
+    corpus, data
+):
+    """A twin put anywhere into every emitted sentence a word occurs in, as
+    often as the word, gets the word's probability bit for bit in every
+    row: the repetition ``write_table`` formats once."""
+    direction = data.draw(st.sampled_from([model1.TGT_TO_SRC, model1.SRC_TO_TGT]))
+    emitted_side = 1 if direction == model1.TGT_TO_SRC else 0
+    pairs = [list(map(list, pair)) for pair in corpus.pairs]
+    word = data.draw(
+        st.sampled_from(sorted({w for pair in pairs for w in pair[emitted_side]}))
+    )
+    for pair in pairs:
+        emitted = pair[emitted_side]
+        for _ in range(emitted.count(word)):
+            emitted.insert(data.draw(st.integers(0, len(emitted))), "twin")
+    twinned = ParallelCorpus(pairs=tuple(tuple(map(tuple, pair)) for pair in pairs))
+    iterations = data.draw(st.integers(1, 5))
+    table = model1.train_model1(twinned, direction, iterations)
+    for row in table.probs.values():
+        assert (word in row) == ("twin" in row)
+        if word in row:
+            assert repr(row["twin"]) == repr(row[word])
 
 
 class TestLikelihood:

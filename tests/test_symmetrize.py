@@ -274,13 +274,20 @@ def test_lexicon_file_round_trip(tmp_path):
     assert symmetrize.read_lexicon(path) == lexicon
 
 
-# a lexicon word: any non-empty text without the tab and newline that
-# delimit the file
+# a lexicon word: any corpus token, so no angle bracket and no whitespace,
+# which holds the tab and newline that delimit the file (categories Cc, Zs,
+# Zl and Zp hold every character str.split splits on)
 WORD = st.text(
-    st.characters(blacklist_characters="\t\n", blacklist_categories=("Cs",)),
+    st.characters(
+        blacklist_characters="<>", blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")
+    ),
     min_size=1,
     max_size=5,
 )
+# a word read_lexicon must reject on either side
+BAD_WORD = st.tuples(
+    WORD, st.sampled_from(" \x0b\x0c\r\x1c\x85\xa0\u2028\u3000<>"), WORD
+).map("".join)
 # a line read_lexicon must reject wherever it stands
 BAD_LEXICON_LINE = st.one_of(
     WORD,
@@ -291,6 +298,8 @@ BAD_LEXICON_LINE = st.one_of(
     ),
     WORD.map(lambda word: f"{word}\t\t1"),
     WORD.map(lambda word: f"\t{word}\t1"),
+    st.tuples(BAD_WORD, WORD).map(lambda words: "\t".join([*words, "1"])),
+    st.tuples(WORD, BAD_WORD).map(lambda words: "\t".join([*words, "1"])),
 )
 
 
@@ -306,7 +315,6 @@ def test_lexicon_file_round_trip_and_bad_line(
     path = tmp_path_factory.mktemp("lexicon") / "lexicon.tsv"
     symmetrize.write_lexicon(lexicon, path)
     assert symmetrize.read_lexicon(path) == lexicon
-    # bytes, not text: universal newlines would split a word holding "\r"
     lines = path.read_bytes().decode("utf-8").split("\n")[:-1]
     index = line_index % (len(lines) + 1)
     lines.insert(index, bad_line)
@@ -328,4 +336,26 @@ def test_lexicon_file_bad_line_rejected(tmp_path, line, message):
     path = tmp_path / "lexicon.tsv"
     path.write_text(f"haus\thouse\t2\n{line}\n", encoding="utf-8")
     with pytest.raises(AlignmentError, match=rf"lexicon\.tsv:2: {message}"):
+        symmetrize.read_lexicon(path)
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [("buch\tfoo bar\t1", "target word 'foo bar'"),
+     ("buch\t<tgt>\t1", "target word '<tgt>'"),
+     ("buch\tbo>ok\t1", "target word 'bo>ok'"),
+     ("buch\tbook\x0b\t1", "target word 'book\\x0b'"),
+     ("buch\t book\t1", "target word ' book'"),
+     ("buch\tbo\u3000ok\t1", "target word 'bo\\u3000ok'"),
+     ("das buch\tbook\t1", "source word 'das buch'"),
+     ("<lex>\tbook\t1", "source word '<lex>'"),
+     ("buch\r\tbook\t1", "source word 'buch\\r'")],
+    ids=["space", "marker", "bracket", "vertical-tab", "leading-space",
+         "ideographic-space", "source-space", "source-marker", "source-cr"],
+)
+def test_lexicon_word_that_is_not_a_token_rejected(tmp_path, line, message):
+    path = tmp_path / "lexicon.tsv"
+    path.write_bytes(f"haus\thouse\t2\n{line}\n".encode("utf-8"))
+    pattern = rf"lexicon\.tsv:2: {re.escape(message)} holds whitespace or an angle bracket"
+    with pytest.raises(AlignmentError, match=pattern):
         symmetrize.read_lexicon(path)
