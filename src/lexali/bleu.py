@@ -100,15 +100,7 @@ def corpus_bleu(
     precisions = tuple(
         m / t if t > 0 else 0.0 for m, t in zip(matched, totals)
     )
-    if hyp_length == 0:
-        return BleuReport(
-            score=0.0,
-            precisions=precisions,
-            brevity_penalty=0.0,
-            hyp_length=0,
-            ref_length=ref_length,
-        )
-    brevity = min(1.0, math.exp(1.0 - ref_length / hyp_length))
+    brevity = min(1.0, math.exp(1.0 - ref_length / hyp_length)) if hyp_length else 0.0
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:

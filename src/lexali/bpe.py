@@ -182,19 +182,14 @@ def _merge_pieces(pieces: list[_Piece], pair: Pair) -> list[_Piece]:
     return out
 
 
-def _rendered(piece: _Piece, final: bool, marker: str) -> str:
-    return piece.symbol if final else piece.symbol + marker
-
-
 def _emit(
     piece: _Piece,
     final: bool,
     vocab: Mapping[str, int] | None,
     threshold: int,
-    marker: str,
     out: list[str],
 ) -> None:
-    form = _rendered(piece, final, marker)
+    form = piece.symbol if final else piece.symbol + CONTINUATION_MARKER
     if vocab is None or vocab.get(form, 0) >= threshold:
         out.append(form)
         return
@@ -203,8 +198,8 @@ def _emit(
         out.append(form)
         return
     left, right = piece.children
-    _emit(left, False, vocab, threshold, marker, out)
-    _emit(right, final, vocab, threshold, marker, out)
+    _emit(left, False, vocab, threshold, out)
+    _emit(right, final, vocab, threshold, out)
 
 
 def split_word(
@@ -236,7 +231,7 @@ def split_word(
     out: list[str] = []
     last = len(pieces) - 1
     for i, piece in enumerate(pieces):
-        _emit(piece, i == last, vocab, threshold, CONTINUATION_MARKER, out)
+        _emit(piece, i == last, vocab, threshold, out)
     return out
 
 
@@ -265,7 +260,7 @@ def make_segmenter(
     return segment
 
 
-def undo_bpe(sentence: Sentence, marker: str = CONTINUATION_MARKER) -> Sentence:
+def undo_bpe(sentence: Sentence) -> Sentence:
     """Rejoin continuation-marked pieces into words.
 
     A piece carrying the marker must be followed by another piece; a
@@ -274,8 +269,8 @@ def undo_bpe(sentence: Sentence, marker: str = CONTINUATION_MARKER) -> Sentence:
     words: list[str] = []
     buffer = ""
     for token in sentence:
-        if token.endswith(marker):
-            buffer += token[: -len(marker)]
+        if token.endswith(CONTINUATION_MARKER):
+            buffer += token[: -len(CONTINUATION_MARKER)]
         else:
             words.append(buffer + token)
             buffer = ""

@@ -4,9 +4,10 @@ Every subcommand reads and writes fixed artifact names inside the working
 directory given by --out, so running the full pipeline is byte-identical to
 chaining the individual subcommands by hand. Each stage option is declared
 once, in OPTIONS; its value comes from a command line flag, else (for the
-pipeline) an optional "key = value" configuration file, else its default. The
-pipeline records a manifest of artifact checksums and holds a lock file for
-the duration of the run.
+pipeline) an optional "key = value" configuration file, else its default.
+Every command that writes into --out, the pipeline and each stage, holds a
+lock file there while it runs; the pipeline also records a manifest of
+artifact checksums.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -271,9 +273,10 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
     table = bpe.read_merges(out / MERGES)
     segment = bpe.make_segmenter(table)
 
-    src_bpe = [segment(s) for s in corpus.load_sentences(src)]
+    pairs = corpus.load_parallel(src, tgt).pairs
+    src_bpe = [segment(s) for s, _ in pairs]
     corpus.write_sentences(src_bpe, out / SRC_BPE)
-    tgt_bpe = [segment(s) for s in corpus.load_sentences(tgt)]
+    tgt_bpe = [segment(t) for _, t in pairs]
     corpus.write_sentences(tgt_bpe, out / TGT_BPE)
 
     # the subword vocabulary that constrains the intermediate sequences is
@@ -348,55 +351,13 @@ def write_run_manifest(config: argparse.Namespace, out: Path) -> None:
     )
 
 
-class _OutputLock:
-    """Exclusive advisory lock on the working directory, holding the pid of
-    the run that took it."""
-
-    def __init__(self, out: Path) -> None:
-        self.path = out / LOCK_FILE
-        self._fd: int | None = None
-
-    def __enter__(self) -> "_OutputLock":
-        try:
-            self._fd = os.open(
-                self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-            )
-        except FileExistsError:
-            owner = _lock_owner(self.path)
-            raise PipelineError(
-                "output directory is locked"
-                + (f" by pid {owner}" if owner else "")
-                + f"; remove {self.path} if no other run is active"
-            ) from None
-        try:
-            os.write(self._fd, f"{os.getpid()}\n".encode("ascii"))
-        except OSError as exc:
-            self.__exit__()
-            raise PipelineError(
-                f"cannot write {self.path}: {exc.strerror or exc}"
-            ) from None
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            os.unlink(self.path)
-            self._fd = None
-
-
-def _lock_owner(path: Path) -> str | None:
-    """The pid written in a lock file, or None if it holds no pid."""
-    try:
-        text = path.read_bytes().decode("ascii").strip()
-    except (OSError, UnicodeDecodeError):
-        return None
-    return text if text.isdigit() else None
-
-
 # ---------------------------------------------------------------- commands
 
 
-def _out_dir(out: str) -> Path:
+@contextmanager
+def _claimed(out: str) -> Iterator[Path]:
+    """Create the working directory and hold its LOCK, which holds the pid
+    of this run, until the block ends."""
     path = Path(out)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -404,7 +365,31 @@ def _out_dir(out: str) -> Path:
         raise ConfigError(
             f"cannot create output directory {path}: {exc.strerror or exc}"
         ) from None
-    return path
+    lock = path / LOCK_FILE
+    try:
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        try:
+            owner = lock.read_bytes().decode("ascii").strip()
+        except (OSError, UnicodeDecodeError):
+            owner = ""
+        raise PipelineError(
+            "output directory is locked"
+            + (f" by pid {owner}" if owner.isdigit() else "")
+            + f"; remove {lock} if no other run is active"
+        ) from None
+    except OSError as exc:
+        raise PipelineError(f"cannot write {lock}: {exc.strerror or exc}") from None
+    try:
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+        except OSError as exc:
+            raise PipelineError(f"cannot write {lock}: {exc.strerror or exc}") from None
+        finally:
+            os.close(fd)
+        yield path
+    finally:
+        os.unlink(lock)
 
 
 def _run_stage(command: str, config: argparse.Namespace, out: Path) -> None:
@@ -418,7 +403,8 @@ def _run_stage(command: str, config: argparse.Namespace, out: Path) -> None:
 
 def cmd_stage(args: argparse.Namespace) -> int:
     config = resolve(args, STAGES[args.command][1], {})
-    _run_stage(args.command, config, _out_dir(config.out))
+    with _claimed(config.out) as out:
+        _run_stage(args.command, config, out)
     return 0
 
 
@@ -476,8 +462,7 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    out = _out_dir(config.out)
-    with _OutputLock(out):
+    with _claimed(config.out) as out:
         for command in STAGES:
             try:
                 _run_stage(command, config, out)

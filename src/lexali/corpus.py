@@ -60,15 +60,17 @@ def _cannot_write(path: str | Path, exc: OSError) -> CorpusFormatError:
 
 @contextmanager
 def replacing(path: str | Path) -> Iterator[Callable[[str], None]]:
-    """Yield a function writing UTF-8 text to ``<path>.tmp``, which replaces
-    the file ``path`` names (through a symlink) when the block ends. On a
-    failure it is removed and ``path`` keeps its old bytes. A device or pipe
+    """Yield a function writing UTF-8 text to ``<path>.<pid>.tmp``, which
+    replaces the file ``path`` names (through a symlink) when the block ends,
+    so two processes writing one path never share a temporary file and the
+    last to finish wins. On a failure it is removed and ``path`` keeps its
+    old bytes. A device or pipe
     (``/dev/null``, ``/dev/stdout``) is written directly, since a rename
     would replace it. A failed file operation raises "cannot write <path>";
     any other exception from the block passes unchanged."""
     direct = os.path.exists(path) and not os.path.isfile(path)
     target = os.path.realpath(path)
-    tmp = path if direct else f"{target}.tmp"
+    tmp = path if direct else f"{target}.{os.getpid()}.tmp"
     try:
         handle = open(tmp, "w", encoding="utf-8", newline="\n")
     except OSError as exc:

@@ -40,4 +40,6 @@ class ConfigError(LexaliError):
 
 
 class PipelineError(LexaliError):
-    """A pipeline stage failed; the message names the stage."""
+    """A pipeline stage failed, and the message names the stage; or the
+    LOCK of an output directory is held by another run or cannot be
+    written."""

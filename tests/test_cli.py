@@ -66,6 +66,20 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+# every command that writes into --out
+OUT_COMMANDS = ["pipeline", *cli.STAGES]
+
+
+def toy_argv(command, out):
+    """The command on the toy corpus, with the corpus flags it takes."""
+    names = cli.STAGES[command][1] if command in cli.STAGES else cli.OPTIONS
+    corpus_flags = [
+        flag for side in ("src", "tgt") if side in names
+        for flag in (f"--{side}", data_path(f"toy.{side}"))
+    ]
+    return [command, *corpus_flags, "--out", out]
+
+
 @pytest.fixture
 def toy_args(tmp_path):
     return [
@@ -221,6 +235,7 @@ BAD_VALUES = [
      "vocab_threshold must be >= 1, got 0"),
     (["augment"], "--mode", "x", "mode must be 'simple' or 'full', got 'x'"),
     (["augment"], "--segments", "lex", "segments must include tgt"),
+    (["augment"], "--segments", "lex,xyz", "unknown segment kind 'xyz'"),
 ]
 
 
@@ -339,28 +354,31 @@ class TestPipeline:
         assert len(lines) == 2
         assert not lines[0].startswith("<")
 
-    def test_lock_blocks_concurrent_runs(self, tmp_path, toy_args, capsys):
+    def test_lock_blocks_concurrent_runs(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
         (out / cli.LOCK_FILE).touch()
-        assert run(["pipeline", *toy_args]) == 1
-        # an empty lock names no owner
-        assert capsys.readouterr().err == (
-            f"error: output directory is locked; remove {out / cli.LOCK_FILE} "
-            "if no other run is active\n"
-        )
-        assert (out / cli.LOCK_FILE).read_bytes() == b""
+        for command in OUT_COMMANDS:
+            assert run(toy_argv(command, out)) == 1, command
+            # an empty lock names no owner
+            assert capsys.readouterr().err == (
+                f"error: output directory is locked; remove {out / cli.LOCK_FILE} "
+                "if no other run is active\n"
+            ), command
+            assert sorted(p.name for p in out.iterdir()) == [cli.LOCK_FILE]
+            assert (out / cli.LOCK_FILE).read_bytes() == b""
 
-    def test_lock_names_its_owner(self, tmp_path, toy_args, capsys):
+    def test_lock_names_its_owner(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
         (out / cli.LOCK_FILE).write_text("12345", encoding="ascii")
-        assert run(["pipeline", *toy_args]) == 1
-        assert capsys.readouterr().err == (
-            f"error: output directory is locked by pid 12345; remove "
-            f"{out / cli.LOCK_FILE} if no other run is active\n"
-        )
-        assert (out / cli.LOCK_FILE).read_text(encoding="ascii") == "12345"
+        for command in OUT_COMMANDS:
+            assert run(toy_argv(command, out)) == 1, command
+            assert capsys.readouterr().err == (
+                f"error: output directory is locked by pid 12345; remove "
+                f"{out / cli.LOCK_FILE} if no other run is active\n"
+            ), command
+            assert (out / cli.LOCK_FILE).read_text(encoding="ascii") == "12345"
 
     def test_lock_holds_the_running_pid(self, tmp_path, toy_args, monkeypatch):
         seen = []
@@ -371,24 +389,57 @@ class TestPipeline:
             stage(**kwargs)
 
         monkeypatch.setattr(cli, "stage_augment", spy)
+        out = tmp_path / "run"
         assert run(["pipeline", *toy_args]) == 0
-        assert seen == [f"{os.getpid()}\n"]
-        assert not (tmp_path / "run" / cli.LOCK_FILE).exists()
+        assert run(["augment", "--out", out]) == 0
+        assert seen == [f"{os.getpid()}\n"] * 2
+        assert not (out / cli.LOCK_FILE).exists()
 
-    def test_lock_write_failure_releases_the_lock(
-        self, tmp_path, toy_args, capsys, monkeypatch
-    ):
+    def test_lock_write_failure_releases_the_lock(self, tmp_path, capsys, monkeypatch):
         def full(fd, data):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(cli.os, "write", full)
-        assert run(["pipeline", *toy_args]) == 1
-        monkeypatch.undo()
         lock = tmp_path / "run" / cli.LOCK_FILE
+        for command in ("pipeline", "align"):
+            monkeypatch.setattr(cli.os, "write", full)
+            assert run(toy_argv(command, tmp_path / "run")) == 1, command
+            monkeypatch.undo()
+            assert capsys.readouterr().err == (
+                f"error: cannot write {lock}: No space left on device\n"
+            )
+            assert not lock.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "align"])
+    def test_lock_that_cannot_be_created_exits_cleanly(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        lock = tmp_path / "run" / cli.LOCK_FILE
+        create = os.open
+
+        def read_only(path, flags, *args):
+            if Path(path) == lock:
+                raise OSError(13, "Permission denied")
+            return create(path, flags, *args)
+
+        monkeypatch.setattr(cli.os, "open", read_only)
+        assert run(toy_argv(command, tmp_path / "run")) == 1
         assert capsys.readouterr().err == (
-            f"error: cannot write {lock}: No space left on device\n"
+            f"error: cannot write {lock}: Permission denied\n"
         )
-        assert not lock.exists()
+        assert list((tmp_path / "run").iterdir()) == []
+
+    def test_failed_stage_is_named_and_releases_the_lock(self, tmp_path, toy_args, capsys):
+        out = tmp_path / "run"
+        (out / cli.LEXICON).mkdir(parents=True)
+        assert run(["pipeline", *toy_args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage lexicon failed: cannot write {out / cli.LEXICON}: "
+            "Is a directory\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            cli.TABLE_T2S, cli.TABLE_S2T, cli.ALIGN_T2S, cli.ALIGN_S2T,
+            cli.ALIGN_INTERSECT, cli.LEXICON,
+        ])
 
     def test_ali_out_of_range_link_names_file_and_line(self, tmp_path, toy_args, capsys):
         out = tmp_path / "run"
@@ -426,6 +477,7 @@ class TestPipeline:
         assert run([stage, *toy_args]) == 1
         where = f"{out / name}:" if line is None else f"{out / name}:2:"
         assert f"{where} {message}" in capsys.readouterr().err
+        assert not (out / cli.LOCK_FILE).exists()
 
     @pytest.mark.parametrize(
         ("line", "message"),
@@ -484,15 +536,18 @@ class TestPipeline:
         assert {name: (out / name).read_bytes() for name in names} == before
         assert not list(out.glob("*.tmp"))
 
-    @pytest.mark.parametrize("stage", ["ali", "augment"])
+    @pytest.mark.parametrize("stage", ["ali", "bpe-apply", "augment"])
     def test_line_count_mismatch_names_every_file(self, tmp_path, toy_args, capsys, stage):
         out = tmp_path / "run"
         assert run(["pipeline", *toy_args]) == 0
+        short = tmp_path / "one.tgt"
+        short.write_text(Path(data_path("toy.tgt")).read_text().splitlines()[0] + "\n")
         if stage == "ali":
-            short = tmp_path / "one.tgt"
-            short.write_text(Path(data_path("toy.tgt")).read_text().splitlines()[0] + "\n")
             argv = ["ali", "--tgt", short, "--out", out]
             counts = f"{out / cli.LEX_WORDS}=2, {short}=1"
+        elif stage == "bpe-apply":
+            argv = ["bpe-apply", "--src", data_path("toy.src"), "--tgt", short, "--out", out]
+            counts = f"{data_path('toy.src')}=2, {short}=1"
         else:
             short = out / cli.ALI_BPE
             short.write_text(short.read_text().splitlines()[0] + "\n")
@@ -654,12 +709,7 @@ def test_out_that_cannot_be_created_exits_cleanly(
 ):
     (tmp_path / "file").write_text("kept\n", encoding="utf-8")
     out = tmp_path / out
-    names = cli.STAGES[command][1] if command in cli.STAGES else cli.OPTIONS
-    corpus_flags = [
-        flag for side in ("src", "tgt") if side in names
-        for flag in (f"--{side}", data_path(f"toy.{side}"))
-    ]
-    assert run([command, *corpus_flags, "--out", out]) == 1
+    assert run(toy_argv(command, out)) == 1
     assert capsys.readouterr().err == (
         f"error: cannot create output directory {out}: {reason}\n"
     )

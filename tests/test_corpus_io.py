@@ -3,6 +3,9 @@
 import os
 import random
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -150,6 +153,30 @@ def test_error_from_the_lines_passes_unchanged(tmp_path):
         corpus.write_lines(path, lines())
     assert path.read_bytes() == b"old line\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def test_two_writers_of_one_path_keep_their_own_temporary_files(tmp_path):
+    path = tmp_path / "race.out"
+    src = Path(corpus.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    )}
+    other = (
+        "import sys; from lexali import corpus; "
+        "corpus.write_lines(sys.argv[1], (f'other {i}' for i in range(3000)))"
+    )
+    mine = [f"mine {i}" for i in range(2000)]
+    # the other writer starts and finishes while this one is half written;
+    # this one finishes last, so its lines win, whole
+    with corpus.replacing(path) as write:
+        write("".join(line + "\n" for line in mine[:1000]))
+        subprocess.run(
+            [sys.executable, "-c", other, str(path)], env=env, check=True, timeout=60
+        )
+        assert path.read_text(encoding="utf-8").splitlines()[-1] == "other 2999"
+        write("".join(line + "\n" for line in mine[1000:]))
+    assert path.read_text(encoding="utf-8").splitlines() == mine
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["race.out"]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
