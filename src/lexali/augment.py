@@ -13,14 +13,15 @@ segment (an empty sequence).
 Everything that depends only on the segment order (the control token, the
 markers and where each segment sits in the target) is planned once per
 ``augment_corpus`` call, so the per-example work is tuple concatenation and
-indexing. ``augment_corpus`` returns a list, not a generator: callers take
-its ``len()`` and the tests compare it.
+indexing. ``augment_corpus`` checks every argument and segment when called
+and returns a sized view that builds the examples again, a sentence at a
+time, on each iteration, so they are never all held in memory together.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -92,12 +93,44 @@ def control_token(order: Sequence[SegmentKind]) -> str:
     return "<" + "".join(kind.digit for kind in kinds) + ">"
 
 
+class AugmentedExamples:
+    """The examples of one ``augment_corpus`` call, built on each iteration;
+    one plan per order: (order, control token or () in simple mode, positions)."""
+
+    def __init__(
+        self, segment_sets: Sequence[SegmentSet], canonical: tuple[SegmentKind, ...], plans: tuple
+    ) -> None:
+        self.segment_sets, self.canonical, self.plans = segment_sets, canonical, plans
+
+    def __len__(self) -> int:
+        return len(self.segment_sets) * len(self.plans)
+
+    def __iter__(self) -> Iterator[AugmentedExample]:
+        markers = [(kind.marker,) for kind in self.canonical]
+        for sentence_index, segments in enumerate(self.segment_sets):
+            values = [segment_of(segments, kind) for kind in self.canonical]
+            marked = [marker + value for marker, value in zip(markers, values)]
+            lengths = [len(value) for value in values]
+            source = segments.source
+            for order, control, positions in self.plans:
+                target: Sentence = ()
+                for i in positions:
+                    target += marked[i]
+                yield AugmentedExample(
+                    sentence_index=sentence_index,
+                    order=order,
+                    source_tokens=control + source,
+                    target_tokens=target,
+                    segment_lengths=tuple([lengths[i] for i in positions]),
+                )
+
+
 def augment_corpus(
     segment_sets: Sequence[SegmentSet],
     kinds: Sequence[SegmentKind],
     mode: Mode,
-) -> list[AugmentedExample]:
-    """Build the augmented training examples for a whole corpus.
+) -> AugmentedExamples:
+    """Check the arguments and segments, and plan a whole corpus's examples.
 
     Simple mode: one example per sentence, canonical (ascending-digit)
     order, source unchanged. Full mode: one example per permutation of the
@@ -113,40 +146,19 @@ def augment_corpus(
         orders = list(itertools.permutations(canonical))
     else:
         raise ValueError(f"unknown mode: {mode!r}")
+    for segments, kind in itertools.product(segment_sets, canonical):
+        segment_of(segments, kind)
 
-    # one plan per order: the order, the control token to prepend (none in
-    # simple mode) and the canonical positions of its segments
-    markers = [(kind.marker,) for kind in canonical]
     position = {kind: i for i, kind in enumerate(canonical)}
-    plans = [
+    plans = tuple(
         (
             order,
             (control_token(order),) if mode == "full" else (),
             tuple(position[kind] for kind in order),
         )
         for order in orders
-    ]
-
-    examples: list[AugmentedExample] = []
-    for sentence_index, segments in enumerate(segment_sets):
-        values = [segment_of(segments, kind) for kind in canonical]
-        marked = [marker + value for marker, value in zip(markers, values)]
-        lengths = [len(value) for value in values]
-        source = segments.source
-        for order, control, positions in plans:
-            target: Sentence = ()
-            for i in positions:
-                target += marked[i]
-            examples.append(
-                AugmentedExample(
-                    sentence_index=sentence_index,
-                    order=order,
-                    source_tokens=control + source,
-                    target_tokens=target,
-                    segment_lengths=tuple([lengths[i] for i in positions]),
-                )
-            )
-    return examples
+    )
+    return AugmentedExamples(segment_sets, canonical, plans)
 
 
 def extract_segment(

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
 
@@ -202,16 +202,19 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def stage_align(src: str, tgt: str, out: Path, iterations: int) -> None:
     pair_corpus = corpus.load_parallel(src, tgt)
-    for direction, table_name, align_name in (
-        (model1.TGT_TO_SRC, TABLE_T2S, ALIGN_T2S),
-        (model1.SRC_TO_TGT, TABLE_S2T, ALIGN_S2T),
-    ):
-        table = model1.train_model1(pair_corpus, direction, iterations)
-        model1.write_table(table, out / table_name)
-        alignments = [
-            model1.viterbi_align(table, pair) for pair in pair_corpus.pairs
-        ]
-        model1.write_alignments(alignments, out / align_name)
+    _align_direction(pair_corpus, model1.TGT_TO_SRC, iterations, out / TABLE_T2S, out / ALIGN_T2S)
+    _align_direction(pair_corpus, model1.SRC_TO_TGT, iterations, out / TABLE_S2T, out / ALIGN_S2T)
+
+
+def _align_direction(
+    pair_corpus: corpus.ParallelCorpus, direction: model1.Direction, iterations: int,
+    table_path: Path, align_path: Path,
+) -> None:
+    """Train, write and apply one direction's table, freed before the next trains."""
+    table = model1.train_model1(pair_corpus, direction, iterations)
+    model1.write_table(table, table_path)
+    alignments = [model1.viterbi_align(table, pair) for pair in pair_corpus.pairs]
+    model1.write_alignments(alignments, align_path)
 
 
 def stage_symmetrize(src: str, tgt: str, out: Path) -> None:
@@ -380,16 +383,21 @@ def _claimed(out: str) -> Iterator[Path]:
         ) from None
     except OSError as exc:
         raise PipelineError(f"cannot write {lock}: {exc.strerror or exc}") from None
+    pid = f"{os.getpid()}\n".encode("ascii")
     try:
         try:
-            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+            os.write(fd, pid)
         except OSError as exc:
+            os.unlink(lock)
             raise PipelineError(f"cannot write {lock}: {exc.strerror or exc}") from None
         finally:
             os.close(fd)
         yield path
     finally:
-        os.unlink(lock)
+        # a LOCK removed during the run, or taken by another run, stays as it is
+        with suppress(OSError):
+            if lock.read_bytes() == pid:
+                lock.unlink()
 
 
 def _run_stage(command: str, config: argparse.Namespace, out: Path) -> None:

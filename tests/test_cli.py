@@ -3,9 +3,11 @@
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexali import augment, cli
+from lexali import augment, cli, corpus, model1
 from lexali.errors import ConfigError, PermutationError
 
 DATA = resources.files("lexali") / "data"
@@ -409,6 +411,33 @@ class TestPipeline:
             )
             assert not lock.exists()
 
+    @pytest.mark.parametrize("holder", [None, "12345"], ids=["removed", "taken"])
+    def test_lock_changed_during_the_run_is_left_alone(
+        self, tmp_path, toy_args, capsys, monkeypatch, holder
+    ):
+        """A LOCK removed mid-run, or since taken by another pid, is not
+        this run's: the run still succeeds and leaves the LOCK as it is."""
+        out = tmp_path / "run"
+        lock = out / cli.LOCK_FILE
+        stage = cli.stage_augment
+
+        def change_lock(**kwargs):
+            if holder is None:
+                lock.unlink()
+            else:
+                lock.write_text(holder, encoding="ascii")
+            stage(**kwargs)
+
+        monkeypatch.setattr(cli, "stage_augment", change_lock)
+        for argv in (["pipeline", *toy_args], ["augment", "--out", out]):
+            assert run(argv) == 0, argv
+            assert capsys.readouterr().err == ""
+            if holder is None:
+                assert not lock.exists()
+            else:
+                assert lock.read_text(encoding="ascii") == holder
+                lock.unlink()
+
     @pytest.mark.parametrize("command", ["pipeline", "align"])
     def test_lock_that_cannot_be_created_exits_cleanly(
         self, tmp_path, capsys, monkeypatch, command
@@ -527,7 +556,7 @@ class TestPipeline:
         build = augment.augment_corpus
 
         def one_example_then_fail(segment_sets, segments, mode):
-            yield build(segment_sets, segments, mode)[0]
+            yield next(iter(build(segment_sets, segments, mode)))
             raise PermutationError("stopped after one example")
 
         monkeypatch.setattr(augment, "augment_corpus", one_example_then_fail)
@@ -722,3 +751,67 @@ def test_missing_input_file_exits_cleanly(tmp_path, capsys):
         "--tgt", tmp_path / "none.tgt", "--out", tmp_path,
     ]) == 1
     assert "src path does not exist" in capsys.readouterr().err
+
+
+def traced_peak(function, *args, **kwargs):
+    """The peak of the memory that tracemalloc traces while function runs."""
+    tracemalloc.start()
+    try:
+        function(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peaks traced by tracemalloc, which counts Python's own allocations
+    and nearly the same bytes on every run, compared only with each other."""
+
+    def test_augment_streams_its_examples(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["pipeline", "--src", data_path("mini.src"),
+                    "--tgt", data_path("mini.tgt"), "--out", out]) == 0
+        kinds = tuple(augment.SegmentKind)  # the default: lex, ali, tgt
+        stage_peak = traced_peak(cli.stage_augment, out=out, segments=kinds, mode="full")
+
+        tracemalloc.start()
+        try:
+            sides = [
+                corpus.read_sentences(out / name)
+                for name in (cli.SRC_BPE, cli.TGT_BPE, cli.LEX_BPE, cli.ALI_BPE)
+            ]
+            segment_sets = [
+                augment.SegmentSet(source=src, tgt=tgt, lex=lex, ali=ali)
+                for src, tgt, lex, ali in zip(*sides)
+            ]
+            inputs_size = tracemalloc.get_traced_memory()[0]
+            examples = list(augment.augment_corpus(segment_sets, kinds, "full"))
+            examples_size = tracemalloc.get_traced_memory()[0] - inputs_size
+        finally:
+            tracemalloc.stop()
+        assert len(examples) == 6 * len(segment_sets)
+        # beyond the segment sets it reads, the stage holds less than a
+        # quarter of what the list of its examples would
+        assert stage_peak - inputs_size < examples_size / 4
+
+    def test_align_holds_one_direction_at_a_time(self, tmp_path):
+        # a wide vocabulary makes each direction's table most of its memory
+        rng = random.Random(0)
+        src_lines, tgt_lines = [], []
+        for _ in range(60):
+            words = [rng.randrange(2000) for _ in range(rng.randint(5, 30))]
+            src_lines.append(" ".join(f"s{w}" for w in words))
+            tgt_lines.append(" ".join(f"t{w}" for w in reversed(words)))
+        src, tgt = tmp_path / "wide.src", tmp_path / "wide.tgt"
+        src.write_text("".join(line + "\n" for line in src_lines), encoding="utf-8")
+        tgt.write_text("".join(line + "\n" for line in tgt_lines), encoding="utf-8")
+        out = tmp_path / "run"
+        out.mkdir()
+
+        pair_corpus = corpus.load_parallel(src, tgt)
+        train_peak = max(
+            traced_peak(model1.train_model1, pair_corpus, direction, 2)
+            for direction in (model1.TGT_TO_SRC, model1.SRC_TO_TGT)
+        )
+        stage_peak = traced_peak(cli.stage_align, str(src), str(tgt), out, 2)
+        assert stage_peak <= 1.15 * train_peak

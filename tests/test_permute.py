@@ -43,7 +43,7 @@ def test_markers_and_digits():
 
 
 def test_compose_concatenates_marked_segments():
-    examples = augment_corpus([segment_set()], (TGT, LEX), "full")
+    examples = list(augment_corpus([segment_set()], (TGT, LEX), "full"))
     assert examples[1].order == (TGT, LEX)
     assert examples[1].target_tokens == (
         "<tgt>", "t1", "t2", "t3", "<lex>", "l1", "l2"
@@ -64,6 +64,9 @@ def test_compose_rejects_missing_segment():
     bare = SegmentSet(source=("s",), tgt=("t",))
     with pytest.raises(PermutationError, match="segment lex is not available"):
         augment_corpus([bare], (TGT, LEX), "full")
+    # checked at the call, not when the examples are first iterated
+    with pytest.raises(PermutationError, match="segment lex is not available"):
+        augment_corpus([segment_set(), bare], (TGT, LEX), "full")
 
 
 def test_control_token_digits_follow_order():
@@ -114,7 +117,7 @@ class TestAugment:
             assert example.source_tokens[1:] == ("s1", "s2")
 
     def test_two_kind_subset(self):
-        examples = augment_corpus(self.sets(3), (TGT, LEX), "full")
+        examples = list(augment_corpus(self.sets(3), (TGT, LEX), "full"))
         assert len(examples) == 6
         assert examples[0].order == (LEX, TGT)
         assert examples[1].order == (TGT, LEX)
@@ -246,8 +249,22 @@ def write_both(examples, expected):
 @example(corpus=([SegmentSet(source=(), tgt=("t",))], (TGT,)), mode="simple")
 def test_equals_loop_reference_exactly(corpus, mode):
     segment_sets, kinds = corpus
-    examples = augment_corpus(segment_sets, kinds, mode)
+    examples = list(augment_corpus(segment_sets, kinds, mode))
     expected = augment_loop_oracle(segment_sets, kinds, mode)
     assert examples == expected
+    written, oracle_written = write_both(examples, expected)
+    assert written == oracle_written
+
+
+@given(corpus=corpora(), mode=st.sampled_from(["simple", "full"]))
+def test_examples_view_is_sized_and_re_iterable(corpus, mode):
+    segment_sets, kinds = corpus
+    examples = augment_corpus(segment_sets, kinds, mode)
+    first = list(examples)
+    assert len(examples) == len(first)
+    assert list(examples) == first
+    expected = augment_loop_oracle(segment_sets, kinds, mode)
+    assert first == expected
+    # a view already iterated writes the same bytes as the oracle
     written, oracle_written = write_both(examples, expected)
     assert written == oracle_written
