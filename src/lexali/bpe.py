@@ -286,12 +286,15 @@ def write_merges(table: MergeTable, path: str | Path) -> None:
 
 
 def read_merges(path: str | Path) -> MergeTable:
-    """Load a merge table: an optional '#' header line, then one pair of
-    non-empty symbols without whitespace per line, each pair listed once."""
+    """Load a merge table: the header line write_merges writes, then one pair
+    of non-empty symbols without whitespace or angle brackets per line, each
+    pair listed once. A symbol holding '<' or '>' could never merge, since no
+    word holds one, and marks another tool's file (subword-nmt's '</w>')."""
+    lines = read_lines(path)
+    if lines[:1] != [_VERSION_LINE]:
+        raise SegmentationError(f"{path}:1: expected {_VERSION_LINE!r}")
     merges: dict[Pair, None] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if lineno == 1 and line.startswith("#"):
-            continue
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(" ")
         if len(parts) != 2:
             raise SegmentationError(f"{path}:{lineno}: expected 'left right'")
@@ -300,6 +303,8 @@ def read_merges(path: str | Path) -> MergeTable:
             raise SegmentationError(f"{path}:{lineno}: empty symbol in {line!r}")
         if parts != line.split():
             raise SegmentationError(f"{path}:{lineno}: whitespace in a symbol in {line!r}")
+        if "<" in line or ">" in line:
+            raise SegmentationError(f"{path}:{lineno}: reserved angle bracket in {line!r}")
         if pair in merges:
             raise SegmentationError(f"{path}:{lineno}: merge {line!r} listed twice")
         merges[pair] = None

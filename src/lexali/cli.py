@@ -23,7 +23,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__, augment, bleu, bpe, corpus, mbr, model1, sequences, symmetrize
-from .errors import ConfigError, LexaliError, MarkerError, PipelineError
+from .errors import ConfigError, LexaliError, MarkerError, PipelineError, SegmentationError
 
 TABLE_T2S = "model1.tgt_to_src.txt"
 TABLE_S2T = "model1.src_to_tgt.txt"
@@ -73,10 +73,11 @@ _UTILITY_ALIASES = {
 
 
 def _parse_int(value: str, key: str, minimum: int) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    # ASCII digits only, as every file reader takes them: int() would also
+    # read "1_0" and fullwidth digits
+    if not (value.isascii() and value.removeprefix("-").isdigit()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    parsed = int(value)
     if parsed < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {parsed}")
     return parsed
@@ -110,13 +111,6 @@ def _parse_mode(value: str) -> str:
     if value not in ("simple", "full"):
         raise ConfigError(f"mode must be 'simple' or 'full', got {value!r}")
     return value
-
-
-def _parse_utility(value: str) -> str:
-    kind = _UTILITY_ALIASES.get(value, value)
-    if kind not in mbr.UTILITY_KINDS:
-        raise ConfigError(f"unknown utility {value!r}")
-    return kind
 
 
 # Every stage option, once: the parser of its string value and its default
@@ -250,7 +244,7 @@ def stage_lex(src: str, out: Path) -> None:
 
 
 def stage_ali(tgt: str, out: Path) -> None:
-    lex_sentences = corpus.read_sentences(out / LEX_WORDS)
+    lex_sentences = corpus.load_sentences(out / LEX_WORDS)
     tgt_sentences = corpus.load_sentences(tgt)
     corpus.check_line_counts((out / LEX_WORDS, lex_sentences), (tgt, tgt_sentences))
     alignments = model1.read_alignment_maps(
@@ -289,16 +283,19 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
 
     constrained = bpe.make_segmenter(table, tgt_vocab, vocab_threshold)
     for in_name, out_name in ((LEX_WORDS, LEX_BPE), (ALI_WORDS, ALI_BPE)):
-        segmented = [
-            constrained(sentence)
-            for sentence in corpus.read_sentences(out / in_name)
-        ]
+        segmented = []
+        for lineno, sentence in enumerate(corpus.read_sentences(out / in_name), start=1):
+            try:
+                segmented.append(constrained(sentence))
+            except SegmentationError as error:
+                raise SegmentationError(f"{out / in_name}:{lineno}: {error}") from error
         corpus.write_sentences(segmented, out / out_name)
 
 
 def stage_augment(out: Path, segments: Sequence[augment.SegmentKind], mode: str) -> None:
     paths = [out / name for name in (SRC_BPE, TGT_BPE, LEX_BPE, ALI_BPE)]
-    sides = [corpus.read_sentences(path) for path in paths]
+    # train.ali.bpe may hold empty lines; the other three hold corpus tokens
+    sides = [*map(corpus.load_sentences, paths[:3]), corpus.read_sentences(paths[3])]
     corpus.check_line_counts(*zip(paths, sides))
     segment_sets = [
         augment.SegmentSet(source=src, tgt=tgt, lex=lex, ali=ali)
@@ -440,7 +437,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_mbr(args: argparse.Namespace) -> int:
-    kind = _parse_utility(args.utility)
+    kind = _UTILITY_ALIASES[args.utility]
     candidate_files = [corpus.read_sentences(path) for path in args.candidates]
     corpus.check_line_counts(*zip(args.candidates, candidate_files))
     consensus: list[corpus.Sentence] = []
@@ -517,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("mbr", cmd_mbr, "pick consensus translations from candidates")
     sub.add_argument("candidates", nargs="+")
-    sub.add_argument("--utility", default="chrf")
+    sub.add_argument("--utility", default="chrf", choices=_UTILITY_ALIASES)
     sub.add_argument("--output", required=True)
     sub.add_argument("--scores")
 

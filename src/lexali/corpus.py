@@ -118,11 +118,12 @@ def _parse_line(line: str, path: str | Path, lineno: int) -> Sentence:
     tokens = tuple(line.split())
     if not tokens:
         raise CorpusFormatError(f"{path}:{lineno}: empty line")
-    for token in tokens:
-        if "<" in token or ">" in token:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: token {token!r} contains a reserved angle bracket"
-            )
+    # one scan of the whole line; the tokens are searched only to name one
+    if "<" in line or ">" in line:
+        token = next(token for token in tokens if "<" in token or ">" in token)
+        raise CorpusFormatError(
+            f"{path}:{lineno}: token {token!r} contains a reserved angle bracket"
+        )
     return tokens
 
 

@@ -48,8 +48,6 @@ from .errors import ScoringError
 
 UtilityKind = Literal["chrf", "sentence_bleu", "exact_match"]
 
-UTILITY_KINDS: tuple[UtilityKind, ...] = ("chrf", "sentence_bleu", "exact_match")
-
 CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
 BLEU_MAX_ORDER = 4

@@ -211,20 +211,29 @@ def test_merge_file_round_trip(tmp_path):
     assert bpe.read_merges(path).merges == table.merges
 
 
+HEADER = "#version: lexali-bpe 1"
+
+
 def test_merge_file_bad_line(tmp_path):
     path = tmp_path / "merges.txt"
-    path.write_text("#version: x\na b c\n", encoding="utf-8")
-    with pytest.raises(SegmentationError):
+    path.write_text(f"{HEADER}\na b c\n", encoding="utf-8")
+    with pytest.raises(SegmentationError, match=r"merges\.txt:2: expected 'left right'"):
         bpe.read_merges(path)
 
 
 @pytest.mark.parametrize(
     ("text", "message"),
-    [("a b\nc\n", r"merges\.txt:2: expected 'left right'"),
-     ("#version: x\na b\nc d\na b\n", r"merges\.txt:4: merge 'a b' listed twice"),
-     ("#version: x\n b\n", r"merges\.txt:2: empty symbol in ' b'"),
-     ("#version: x\r\na b\r\n", r"merges\.txt:2: whitespace in a symbol in 'a b\\r'")],
-    ids=["headerless-line-number", "repeated", "empty-symbol", "crlf"],
+    [("a b\nc\n", r"merges\.txt:1: expected '#version: lexali-bpe 1'"),
+     (f"{HEADER}\na b\nc d\na b\n", r"merges\.txt:4: merge 'a b' listed twice"),
+     (f"{HEADER}\n b\n", r"merges\.txt:2: empty symbol in ' b'"),
+     (f"{HEADER}\r\na b\r\n", r"merges\.txt:1: expected '#version: lexali-bpe 1'"),
+     (f"{HEADER}\na b\r\n", r"merges\.txt:2: whitespace in a symbol in 'a b\\r'"),
+     # a subword-nmt codes file: its own header, and symbols ending in </w>
+     ("#version: 0.2\nd a\nda s</w>\n", r"merges\.txt:1: expected '#version: lexali-bpe 1'"),
+     (f"{HEADER}\nd a\nda s</w>\n", r"merges\.txt:3: reserved angle bracket in 'da s</w>'"),
+     ("", r"merges\.txt:1: expected '#version: lexali-bpe 1'")],
+    ids=["missing-header", "repeated", "empty-symbol", "crlf", "cr-in-symbol",
+         "subword-nmt", "angle-bracket", "empty-file"],
 )
 def test_merge_file_line_rejected(tmp_path, text, message):
     path = tmp_path / "merges.txt"
@@ -233,9 +242,11 @@ def test_merge_file_line_rejected(tmp_path, text, message):
         bpe.read_merges(path)
 
 
-# a merge symbol: non-empty, with no character str.split() splits on
+# a merge symbol: non-empty, with no angle bracket and no character
+# str.split() splits on
 SYMBOL = st.text(
-    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4
+    st.characters(blacklist_characters="<>", blacklist_categories=("Cs",)),
+    min_size=1, max_size=4,
 ).filter(lambda symbol: symbol.split() == [symbol])
 # a line read_merges must reject anywhere after the header
 BAD_MERGE_LINE = st.one_of(
@@ -247,6 +258,7 @@ BAD_MERGE_LINE = st.one_of(
     st.tuples(SYMBOL, SYMBOL, SYMBOL).map(lambda s: f"{s[0]}\t{s[1]} {s[2]}"),
     SYMBOL.map(lambda symbol: f" {symbol}"),
     SYMBOL.map(lambda symbol: f"{symbol} "),
+    st.tuples(SYMBOL, st.sampled_from("<>")).map(lambda s: f"{s[0]} {s[0]}{s[1]}"),
 )
 
 

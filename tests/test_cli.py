@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexali import augment, cli, corpus, model1
+from lexali import __version__, augment, cli, corpus, model1
 from lexali.errors import ConfigError, PermutationError
 
 DATA = resources.files("lexali") / "data"
@@ -66,6 +66,18 @@ def data_path(name):
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def run_module(argv):
+    """Run ``python -m lexali.cli`` in a new process on this checkout's package."""
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", "lexali.cli", *map(str, argv)],
+        capture_output=True, env=env, check=False,
+    )
 
 
 # every command that writes into --out
@@ -168,11 +180,22 @@ class TestConfig:
         [("chrf", "chrf"), ("sbleu", "sentence_bleu"), ("exact", "exact_match")],
     )
     def test_utility_aliases(self, alias, kind):
-        assert cli._parse_utility(alias) == kind
+        args = cli.build_parser().parse_args(
+            ["mbr", "c.txt", "--output", "o.txt", "--utility", alias]
+        )
+        assert cli._UTILITY_ALIASES[args.utility] == kind
 
-    def test_bad_values(self):
-        with pytest.raises(ConfigError):
-            cli._parse_utility("bleurt")
+    def test_bad_values(self, capsys):
+        # an internal utility name is not a command line value either
+        for name in ("bleurt", "sentence_bleu"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.build_parser().parse_args(
+                    ["mbr", "c.txt", "--output", "o.txt", "--utility", name]
+                )
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: lexali mbr ")
+            assert f"argument --utility: invalid choice: '{name}'" in err
         with pytest.raises(ConfigError):
             cli._parse_segments("lex,ali")
         with pytest.raises(ConfigError):
@@ -232,6 +255,10 @@ BAD_VALUES = [
     (["align", *BOTH_SIDES], "--iterations", "0", "iterations must be >= 1, got 0"),
     (["align", *BOTH_SIDES], "--iterations", "five",
      "iterations must be an integer, got 'five'"),
+    (["align", *BOTH_SIDES], "--iterations", "\uff15",
+     "iterations must be an integer, got '\uff15'"),
+    (["align", *BOTH_SIDES], "--iterations", "1_0",
+     "iterations must be an integer, got '1_0'"),
     (["bpe-learn", *BOTH_SIDES], "--merges", "-1", "merges must be >= 0, got -1"),
     (["bpe-apply", *BOTH_SIDES], "--vocab-threshold", "0",
      "vocab_threshold must be >= 1, got 0"),
@@ -343,18 +370,42 @@ class TestPipeline:
             assert run(argv) == 0, argv
         for name in cli.PIPELINE_ARTIFACTS:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        # no *.tmp and no LOCK is left behind in either directory
+        assert sorted(p.name for p in a.iterdir()) == sorted(
+            [*cli.PIPELINE_ARTIFACTS, cli.RUN_MANIFEST]
+        )
+        assert sorted(p.name for p in b.iterdir()) == sorted(cli.PIPELINE_ARTIFACTS)
 
     def test_augmented_line_count(self, tmp_path, toy_args):
         run(["pipeline", *toy_args])
-        lines = (tmp_path / "run" / cli.AUG_SRC).read_text().splitlines()
         # 2 sentences, 3 segments, full mode: 2 * 3! examples
-        assert len(lines) == 12
+        for name in (cli.AUG_SRC, cli.AUG_TGT, cli.AUG_MANIFEST):
+            lines = (tmp_path / "run" / name).read_text().splitlines()
+            assert len(lines) == 12, name
 
     def test_simple_mode_has_no_control_token(self, tmp_path, toy_args):
         run(["pipeline", *toy_args, "--mode", "simple"])
+        for name in (cli.AUG_SRC, cli.AUG_TGT, cli.AUG_MANIFEST):
+            lines = (tmp_path / "run" / name).read_text().splitlines()
+            assert len(lines) == 2, name
         lines = (tmp_path / "run" / cli.AUG_SRC).read_text().splitlines()
-        assert len(lines) == 2
         assert not lines[0].startswith("<")
+
+    def test_simple_mode_targets_come_back_through_the_decode_tools(
+        self, tmp_path, toy_args, capsys
+    ):
+        out = tmp_path / "run"
+        assert run(["pipeline", *toy_args, "--mode", "simple"]) == 0
+        extracted = tmp_path / "extracted.tgt"
+        assert run(["extract", "--input", out / cli.AUG_TGT, "--kind", "tgt",
+                    "--output", extracted]) == 0
+        assert extracted.read_bytes() == (out / cli.TGT_BPE).read_bytes()
+        assert run(["bleu", "--hyp", extracted, "--ref", out / cli.TGT_BPE]) == 0
+        assert capsys.readouterr().out.startswith("BLEU = 100.00 ")
+        consensus = tmp_path / "consensus.tgt"
+        assert run(["mbr", extracted, out / cli.TGT_BPE, "--output", consensus]) == 0
+        assert consensus.read_bytes() == extracted.read_bytes()
+        assert capsys.readouterr().err == ""
 
     def test_lock_blocks_concurrent_runs(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -544,6 +595,29 @@ class TestPipeline:
         assert f"{cli.LEXICON}:1: target word {word!r} holds whitespace" in err
         assert (out / cli.LEX_WORDS).read_bytes() == before
 
+    # a stage-written file, a stage that reads it, and what that stage calls
+    # each token: ali and augment read the file as a corpus side, and
+    # bpe-apply segments its words
+    @pytest.mark.parametrize(
+        ("name", "stage", "what"),
+        [(cli.LEX_WORDS, "ali", "token"), (cli.SRC_BPE, "augment", "token"),
+         (cli.TGT_BPE, "augment", "token"), (cli.LEX_BPE, "augment", "token"),
+         (cli.LEX_WORDS, "bpe-apply", "word"), (cli.ALI_WORDS, "bpe-apply", "word")],
+    )
+    def test_angle_bracket_in_a_stage_written_file_names_file_and_line(
+        self, tmp_path, toy_args, capsys, name, stage, what
+    ):
+        out = tmp_path / "run"
+        assert run(["pipeline", *toy_args]) == 0
+        path = out / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = " ".join(["<x>", *lines[1].split()[1:]])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(toy_argv(stage, out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: {what} '<x>' contains a reserved angle bracket\n"
+        )
+
     def test_failed_rewrite_keeps_previous_artifacts(
         self, tmp_path, toy_args, capsys, monkeypatch
     ):
@@ -700,14 +774,7 @@ class TestDecodingCommands:
             argv = ["mbr", lines, lines, "--output", "/dev/stdout"]
         else:
             argv = ["extract", "--input", lines, "--kind", "tgt", "--output", "/dev/stdout"]
-        src = Path(cli.__file__).parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        )}
-        result = subprocess.run(
-            [sys.executable, "-m", "lexali.cli", *map(str, argv)],
-            capture_output=True, env=env, check=False,
-        )
+        result = run_module(argv)
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == (b"<tgt> a\n" if command == "mbr" else b"a\n")
 
@@ -743,6 +810,22 @@ def test_out_that_cannot_be_created_exits_cleanly(
         f"error: cannot create output directory {out}: {reason}\n"
     )
     assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m lexali.cli`` runs main and exits with its status."""
+    version = run_module(["--version"])
+    assert (version.returncode, version.stdout, version.stderr) == (
+        0, f"lexali {__version__}\n".encode(), b""
+    )
+    out = tmp_path / "run"
+    done = run_module(toy_argv("pipeline", out))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (out / cli.RUN_MANIFEST).is_file()
+    bad = run_module([*toy_argv("align", tmp_path / "bad"), "--iterations", "five"])
+    assert (bad.returncode, bad.stderr) == (
+        1, b"error: iterations must be an integer, got 'five'\n"
+    )
 
 
 def test_missing_input_file_exits_cleanly(tmp_path, capsys):
