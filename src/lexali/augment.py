@@ -10,27 +10,30 @@ token such as ``<213>`` naming the requested segment order (digit 1 is lex,
 sequence, distinguishing a missing marker (None) from a present but empty
 segment (an empty sequence).
 
-Everything that depends only on the segment order (the control token, the
-markers and where each segment sits in the target) is planned once per
-``augment_corpus`` call, so the per-example work is tuple concatenation and
-indexing. ``augment_corpus`` checks every argument and segment when called
-and returns a sized view that builds the examples again, a sentence at a
-time, on each iteration, so they are never all held in memory together.
+An example is the three lines it adds to the source, target and manifest
+files. Everything that depends only on the segment order (the control
+token, its digits and where each segment sits in the target) is planned
+once per ``augment_corpus`` call, and each sentence's source text, marked
+segments and segment lengths are joined once, so the per-example work is
+joining strings. ``augment_corpus`` returns a sized view that builds the
+lines again, a sentence at a time, on each iteration, so they are never all
+held in memory together. The segment kinds and the mode are taken as given:
+the command line checks them.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import IntEnum
 from pathlib import Path
 from typing import Literal
 
 from .corpus import Sentence, replacing
-from .errors import MarkerError, PermutationError
+from .errors import MarkerError
 
 Mode = Literal["simple", "full"]
+Lines = tuple[str, str, str]
 
 
 class SegmentKind(IntEnum):
@@ -52,113 +55,67 @@ class SegmentKind(IntEnum):
 MARKER_TOKENS = frozenset(kind.marker for kind in SegmentKind)
 
 
-@dataclass(frozen=True)
-class SegmentSet:
-    """The segments available for one sentence pair."""
-
-    source: Sentence
-    tgt: Sentence
-    lex: Sentence | None = None
-    ali: Sentence | None = None
-
-
-@dataclass(frozen=True)
-class AugmentedExample:
-    sentence_index: int
-    order: tuple[SegmentKind, ...]
-    source_tokens: Sentence
-    target_tokens: Sentence
-    segment_lengths: tuple[int, ...]
-
-
-def _check_order(order: Sequence[SegmentKind]) -> tuple[SegmentKind, ...]:
-    kinds = tuple(order)
-    if not kinds:
-        raise PermutationError("segment order is empty")
-    if len(set(kinds)) != len(kinds):
-        raise PermutationError(f"duplicate segment kind in order {kinds}")
-    return kinds
-
-
-def segment_of(segments: SegmentSet, kind: SegmentKind) -> Sentence:
-    value: Sentence | None = getattr(segments, kind.name.lower())
-    if value is None:
-        raise PermutationError(f"segment {kind.name.lower()} is not available")
-    return value
-
-
 def control_token(order: Sequence[SegmentKind]) -> str:
     """Digit string naming a segment order, e.g. (ALI, LEX, TGT) -> "<213>"."""
-    kinds = _check_order(order)
-    return "<" + "".join(kind.digit for kind in kinds) + ">"
+    return "<" + "".join(kind.digit for kind in order) + ">"
 
 
 class AugmentedExamples:
-    """The examples of one ``augment_corpus`` call, built on each iteration;
-    one plan per order: (order, control token or () in simple mode, positions)."""
+    """The (source, target, manifest) lines of one ``augment_corpus`` call,
+    built on each iteration; one plan per order: (control token, or "" in
+    simple mode, control digits, positions of its segments)."""
 
     def __init__(
-        self, segment_sets: Sequence[SegmentSet], canonical: tuple[SegmentKind, ...], plans: tuple
+        self, sources: Sequence[Sentence], columns: list[Sequence[Sentence]],
+        markers: list[str], plans: tuple[tuple[str, str, tuple[int, ...]], ...],
     ) -> None:
-        self.segment_sets, self.canonical, self.plans = segment_sets, canonical, plans
+        self.sources, self.columns, self.markers, self.plans = sources, columns, markers, plans
 
     def __len__(self) -> int:
-        return len(self.segment_sets) * len(self.plans)
+        return len(self.sources) * len(self.plans)
 
-    def __iter__(self) -> Iterator[AugmentedExample]:
-        markers = [(kind.marker,) for kind in self.canonical]
-        for sentence_index, segments in enumerate(self.segment_sets):
-            values = [segment_of(segments, kind) for kind in self.canonical]
-            marked = [marker + value for marker, value in zip(markers, values)]
-            lengths = [len(value) for value in values]
-            source = segments.source
-            for order, control, positions in self.plans:
-                target: Sentence = ()
-                for i in positions:
-                    target += marked[i]
-                yield AugmentedExample(
-                    sentence_index=sentence_index,
-                    order=order,
-                    source_tokens=control + source,
-                    target_tokens=target,
-                    segment_lengths=tuple([lengths[i] for i in positions]),
+    def __iter__(self) -> Iterator[Lines]:
+        rows = zip(self.sources, *self.columns, strict=True)
+        for index, (source, *values) in enumerate(rows):
+            source_line = " ".join(source)
+            after_control = " " + source_line if source else ""
+            marked = [" ".join((marker, *value)) for marker, value in zip(self.markers, values)]
+            lengths = [str(len(value)) for value in values]
+            for control, digits, positions in self.plans:
+                yield (
+                    control + after_control if control else source_line,
+                    " ".join([marked[i] for i in positions]),
+                    f"{index}\t{digits}\t" + "\t".join([lengths[i] for i in positions]),
                 )
 
 
 def augment_corpus(
-    segment_sets: Sequence[SegmentSet],
-    kinds: Sequence[SegmentKind],
+    sources: Sequence[Sentence],
+    segments: Mapping[SegmentKind, Sequence[Sentence]],
     mode: Mode,
 ) -> AugmentedExamples:
-    """Check the arguments and segments, and plan a whole corpus's examples.
+    """Plan a whole corpus's examples from the source sentences and one
+    column of segments per configured kind, line-aligned with the sources.
 
     Simple mode: one example per sentence, canonical (ascending-digit)
     order, source unchanged. Full mode: one example per permutation of the
     configured kinds, enumerated in lexicographic control-digit order, with
     the control token prepended to the source.
     """
-    canonical = tuple(sorted(_check_order(kinds)))
-    if SegmentKind.TGT not in canonical:
-        raise PermutationError("segment subset must include tgt")
-    if mode == "simple":
-        orders: list[tuple[SegmentKind, ...]] = [canonical]
-    elif mode == "full":
-        orders = list(itertools.permutations(canonical))
-    else:
-        raise ValueError(f"unknown mode: {mode!r}")
-    for segments, kind in itertools.product(segment_sets, canonical):
-        segment_of(segments, kind)
-
+    canonical = tuple(sorted(segments))
+    orders = itertools.permutations(canonical) if mode == "full" else [canonical]
     position = {kind: i for i, kind in enumerate(canonical)}
     plans = tuple(
         (
-            order,
-            (control_token(order),) if mode == "full" else (),
+            control_token(order) if mode == "full" else "",
+            "".join(kind.digit for kind in order),
             tuple(position[kind] for kind in order),
         )
         for order in orders
     )
-    return AugmentedExamples(segment_sets, canonical, plans)
+    return AugmentedExamples(
+        sources, [segments[kind] for kind in canonical], [kind.marker for kind in canonical], plans
+    )
 
 
 def extract_segment(
@@ -188,7 +145,7 @@ def extract_segment(
 
 
 def write_augmented(
-    examples: Iterable[AugmentedExample],
+    examples: Iterable[Lines],
     src_path: str | Path,
     tgt_path: str | Path,
     manifest_path: str | Path,
@@ -199,20 +156,9 @@ def write_augmented(
     Manifest lines are tab-separated: sentence index, control digits, then
     one token count per segment in emission order.
     """
-    digits: dict[tuple[SegmentKind, ...], str] = {}
     with replacing(src_path) as write_src, replacing(tgt_path) as write_tgt, \
             replacing(manifest_path) as write_manifest:
-        for example in examples:
-            order = example.order
-            order_digits = digits.get(order)
-            if order_digits is None:
-                order_digits = digits[order] = "".join(
-                    kind.digit for kind in order
-                )
-            write_src(" ".join(example.source_tokens) + "\n")
-            write_tgt(" ".join(example.target_tokens) + "\n")
-            write_manifest(
-                f"{example.sentence_index}\t{order_digits}\t"
-                + "\t".join(map(str, example.segment_lengths))
-                + "\n"
-            )
+        for src_line, tgt_line, manifest_line in examples:
+            write_src(src_line + "\n")
+            write_tgt(tgt_line + "\n")
+            write_manifest(manifest_line + "\n")

@@ -271,6 +271,12 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
     segment = bpe.make_segmenter(table)
 
     pairs = corpus.load_parallel(src, tgt).pairs
+    # train.ali may hold empty lines; train.lex holds corpus tokens
+    words = {
+        LEX_BPE: (out / LEX_WORDS, corpus.load_sentences(out / LEX_WORDS)),
+        ALI_BPE: (out / ALI_WORDS, corpus.read_sentences(out / ALI_WORDS)),
+    }
+    corpus.check_line_counts((src, pairs), *words.values())
     src_bpe = [segment(s) for s, _ in pairs]
     corpus.write_sentences(src_bpe, out / SRC_BPE)
     tgt_bpe = [segment(t) for _, t in pairs]
@@ -282,13 +288,13 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
     corpus.write_vocab(tgt_vocab, out / TGT_VOCAB)
 
     constrained = bpe.make_segmenter(table, tgt_vocab, vocab_threshold)
-    for in_name, out_name in ((LEX_WORDS, LEX_BPE), (ALI_WORDS, ALI_BPE)):
+    for out_name, (path, sentences) in words.items():
         segmented = []
-        for lineno, sentence in enumerate(corpus.read_sentences(out / in_name), start=1):
+        for lineno, sentence in enumerate(sentences, start=1):
             try:
                 segmented.append(constrained(sentence))
             except SegmentationError as error:
-                raise SegmentationError(f"{out / in_name}:{lineno}: {error}") from error
+                raise SegmentationError(f"{path}:{lineno}: {error}") from error
         corpus.write_sentences(segmented, out / out_name)
 
 
@@ -297,11 +303,10 @@ def stage_augment(out: Path, segments: Sequence[augment.SegmentKind], mode: str)
     # train.ali.bpe may hold empty lines; the other three hold corpus tokens
     sides = [*map(corpus.load_sentences, paths[:3]), corpus.read_sentences(paths[3])]
     corpus.check_line_counts(*zip(paths, sides))
-    segment_sets = [
-        augment.SegmentSet(source=src, tgt=tgt, lex=lex, ali=ali)
-        for src, tgt, lex, ali in zip(*sides)
-    ]
-    examples = augment.augment_corpus(segment_sets, segments, mode)
+    src, tgt, lex, ali = sides
+    kinds = augment.SegmentKind
+    columns = {kinds.TGT: tgt, kinds.LEX: lex, kinds.ALI: ali}
+    examples = augment.augment_corpus(src, {kind: columns[kind] for kind in segments}, mode)
     augment.write_augmented(
         examples, out / AUG_SRC, out / AUG_TGT, out / AUG_MANIFEST
     )

@@ -23,10 +23,6 @@ class AlignmentError(LexaliError):
     """Structurally inconsistent alignment data (lengths, link ranges)."""
 
 
-class PermutationError(LexaliError):
-    """Invalid segment order, control token, or missing segment."""
-
-
 class MarkerError(LexaliError):
     """Ambiguous marker structure in decoded output."""
 

@@ -162,9 +162,5 @@ def expected_utilities(
 
 def best_index(scores: Sequence[float]) -> int:
     """Index of the highest score; the first of ties wins."""
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] > scores[best]:
-            best = i
-    return best
+    return scores.index(max(scores))
 

@@ -6,8 +6,9 @@ full-rescan BPE, string-slicing n-gram dicts), so a shared bug would have
 to be invented twice to slip through. The ``*_loop_oracle`` functions are
 the exception: they keep an earlier, slower form of a package algorithm in
 the package's own operation order, so the package must equal them exactly.
-The augmentation references among them build the package's own
-``AugmentedExample`` records, so that example lists compare with ``==``.
+The augmentation reference among them composes each example's token
+tuples and joins them into the (source, target, manifest) lines the package
+yields, so that line lists compare with ``==``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lexali.augment import AugmentedExample, SegmentKind
-from lexali.errors import PermutationError
+from lexali.augment import SegmentKind
 
 NULL = "<NULL>"
 FLOOR = 1e-12
@@ -522,22 +522,6 @@ def corpus_bleu_loop_oracle(hyps, refs):
 # ------------------------------------ augmentation, exact loop references
 
 
-def _check_order(order):
-    kinds = tuple(order)
-    if not kinds:
-        raise PermutationError("segment order is empty")
-    if len(set(kinds)) != len(kinds):
-        raise PermutationError(f"duplicate segment kind in order {kinds}")
-    return kinds
-
-
-def _segment_of(segments, kind):
-    value = getattr(segments, kind.name.lower())
-    if value is None:
-        raise PermutationError(f"segment {kind.name.lower()} is not available")
-    return value
-
-
 _CONTROL_RE = re.compile(r"<([1-3]{1,3})>")
 _BY_DIGIT = {kind.digit: kind for kind in SegmentKind}
 
@@ -547,78 +531,57 @@ def parse_control_token(token):
     ``augment.control_token``."""
     match = _CONTROL_RE.fullmatch(token)
     if match is None:
-        raise PermutationError(f"not a control token: {token!r}")
+        raise ValueError(f"not a control token: {token!r}")
     digits = match.group(1)
     if len(set(digits)) != len(digits):
-        raise PermutationError(f"control token repeats a digit: {token!r}")
+        raise ValueError(f"control token repeats a digit: {token!r}")
     return tuple(_BY_DIGIT[d] for d in digits)
 
 
 def compose_target(segments, order):
-    """Concatenate the requested segments, each preceded by its marker."""
-    kinds = _check_order(order)
-    if SegmentKind.TGT not in kinds:
-        raise PermutationError("segment order must include tgt")
+    """Concatenate the requested segments, each preceded by its marker;
+    ``segments`` maps each kind to its tokens."""
     out = []
-    for kind in kinds:
+    for kind in order:
         out.append(kind.marker)
-        out.extend(_segment_of(segments, kind))
+        out.extend(segments[kind])
     return tuple(out)
 
 
-def augment_loop_oracle(segment_sets, kinds, mode):
-    """Augmentation composing every example from scratch: the reference
-    ``augment.augment_corpus`` must equal field for field."""
-    canonical = tuple(sorted(_check_order(kinds)))
-    if SegmentKind.TGT not in canonical:
-        raise PermutationError("segment subset must include tgt")
-    if mode == "simple":
-        orders = [canonical]
-    elif mode == "full":
+def augment_loop_oracle(sources, segments, mode):
+    """Augmentation composing every example's token tuples from scratch and
+    joining them: the (source, target, manifest) lines
+    ``augment.augment_corpus`` must equal exactly."""
+    canonical = tuple(sorted(segments))
+    if mode == "full":
         orders = list(itertools.permutations(canonical))
     else:
-        raise ValueError(f"unknown mode: {mode!r}")
+        orders = [canonical]
 
-    examples = []
-    for sentence_index, segments in enumerate(segment_sets):
+    lines = []
+    for sentence_index, source in enumerate(sources):
+        row = {kind: column[sentence_index] for kind, column in segments.items()}
         for order in orders:
-            target = compose_target(segments, order)
-            source = segments.source
+            digits = "".join(kind.digit for kind in order)
+            source_tokens = tuple(source)
             if mode == "full":
-                control = "<" + "".join(kind.digit for kind in order) + ">"
-                source = (control, *source)
-            examples.append(
-                AugmentedExample(
-                    sentence_index=sentence_index,
-                    order=order,
-                    source_tokens=source,
-                    target_tokens=target,
-                    segment_lengths=tuple(
-                        len(_segment_of(segments, kind)) for kind in order
-                    ),
+                source_tokens = ("<" + digits + ">",) + source_tokens
+            fields = [str(sentence_index), digits]
+            fields.extend(str(len(row[kind])) for kind in order)
+            lines.append(
+                (
+                    " ".join(source_tokens),
+                    " ".join(compose_target(row, order)),
+                    "\t".join(fields),
                 )
             )
-    return examples
+    return lines
 
 
-def write_augmented_oracle(examples, src_path, tgt_path, manifest_path):
-    """Build each file's lines in full, then write it in one piece: the
+def write_augmented_oracle(lines, src_path, tgt_path, manifest_path):
+    """Build each file's text in full, then write it in one piece: the
     bytes ``augment.write_augmented`` must reproduce."""
-    src_lines = []
-    tgt_lines = []
-    manifest_lines = []
-    for example in examples:
-        src_lines.append(" ".join(example.source_tokens))
-        tgt_lines.append(" ".join(example.target_tokens))
-        digits = "".join(kind.digit for kind in example.order)
-        lengths = "\t".join(str(n) for n in example.segment_lengths)
-        manifest_lines.append(f"{example.sentence_index}\t{digits}\t{lengths}")
-    Path(src_path).write_text(
-        "".join(line + "\n" for line in src_lines), encoding="utf-8"
-    )
-    Path(tgt_path).write_text(
-        "".join(line + "\n" for line in tgt_lines), encoding="utf-8"
-    )
-    Path(manifest_path).write_text(
-        "".join(line + "\n" for line in manifest_lines), encoding="utf-8"
-    )
+    for field, path in enumerate((src_path, tgt_path, manifest_path)):
+        Path(path).write_text(
+            "".join(line[field] + "\n" for line in lines), encoding="utf-8"
+        )

@@ -109,25 +109,29 @@ def test_permutation_integrity_on_fuzzed_segments():
         return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
 
     for _ in range(1000):
-        segments = augment.SegmentSet(
-            source=sent(), tgt=sent(), lex=sent(), ali=sent()
+        source = sent()
+        segments = {kind: sent() for kind in kinds}
+        examples = augment.augment_corpus(
+            [source], {kind: [segment] for kind, segment in segments.items()}, "full"
         )
-        examples = augment.augment_corpus([segments], kinds, "full")
         assert len(examples) == 6
         orders = set()
-        for example in examples:
-            control = example.source_tokens[0]
-            assert oracles.parse_control_token(control) == example.order
+        for src_line, tgt_line, manifest_line in examples:
+            control, *source_tokens = src_line.split(" ")
+            order = oracles.parse_control_token(control)
+            assert tuple(source_tokens) == source
+            assert manifest_line.split("\t")[1] == control[1:-1]
+            target_tokens = tgt_line.split(" ")
             markers = [
                 token
-                for token in example.target_tokens
+                for token in target_tokens
                 if token in augment.MARKER_TOKENS
             ]
-            assert markers == [kind.marker for kind in example.order]
-            for kind in example.order:
-                extracted = augment.extract_segment(example.target_tokens, kind)
-                assert extracted == augment.segment_of(segments, kind)
-            orders.add(example.order)
+            assert markers == [kind.marker for kind in order]
+            for kind in order:
+                extracted = augment.extract_segment(target_tokens, kind)
+                assert extracted == segments[kind]
+            orders.add(order)
         assert len(orders) == 6
 
 

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lexali import __version__, augment, cli, corpus, model1
-from lexali.errors import ConfigError, PermutationError
+from lexali.errors import ConfigError, LexaliError
 
 DATA = resources.files("lexali") / "data"
 
@@ -265,6 +265,7 @@ BAD_VALUES = [
     (["augment"], "--mode", "x", "mode must be 'simple' or 'full', got 'x'"),
     (["augment"], "--segments", "lex", "segments must include tgt"),
     (["augment"], "--segments", "lex,xyz", "unknown segment kind 'xyz'"),
+    (["augment"], "--segments", "lex,lex,tgt", "duplicate segment kind in 'lex,lex,tgt'"),
 ]
 
 
@@ -424,14 +425,16 @@ class TestPipeline:
     def test_lock_names_its_owner(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
-        (out / cli.LOCK_FILE).write_text("12345", encoding="ascii")
-        for command in OUT_COMMANDS:
-            assert run(toy_argv(command, out)) == 1, command
-            assert capsys.readouterr().err == (
-                f"error: output directory is locked by pid 12345; remove "
-                f"{out / cli.LOCK_FILE} if no other run is active\n"
-            ), command
-            assert (out / cli.LOCK_FILE).read_text(encoding="ascii") == "12345"
+        # a LOCK that is not ASCII names no owner
+        for owner, by in ((b"12345", " by pid 12345"), (b"\xff\xfe", "")):
+            (out / cli.LOCK_FILE).write_bytes(owner)
+            for command in OUT_COMMANDS:
+                assert run(toy_argv(command, out)) == 1, command
+                assert capsys.readouterr().err == (
+                    f"error: output directory is locked{by}; remove "
+                    f"{out / cli.LOCK_FILE} if no other run is active\n"
+                ), command
+                assert (out / cli.LOCK_FILE).read_bytes() == owner
 
     def test_lock_holds_the_running_pid(self, tmp_path, toy_args, monkeypatch):
         seen = []
@@ -596,13 +599,13 @@ class TestPipeline:
         assert (out / cli.LEX_WORDS).read_bytes() == before
 
     # a stage-written file, a stage that reads it, and what that stage calls
-    # each token: ali and augment read the file as a corpus side, and
-    # bpe-apply segments its words
+    # each token: ali, augment and bpe-apply read the file as a corpus side,
+    # except train.ali, whose words bpe-apply segments
     @pytest.mark.parametrize(
         ("name", "stage", "what"),
         [(cli.LEX_WORDS, "ali", "token"), (cli.SRC_BPE, "augment", "token"),
          (cli.TGT_BPE, "augment", "token"), (cli.LEX_BPE, "augment", "token"),
-         (cli.LEX_WORDS, "bpe-apply", "word"), (cli.ALI_WORDS, "bpe-apply", "word")],
+         (cli.LEX_WORDS, "bpe-apply", "token"), (cli.ALI_WORDS, "bpe-apply", "word")],
     )
     def test_angle_bracket_in_a_stage_written_file_names_file_and_line(
         self, tmp_path, toy_args, capsys, name, stage, what
@@ -629,9 +632,9 @@ class TestPipeline:
 
         build = augment.augment_corpus
 
-        def one_example_then_fail(segment_sets, segments, mode):
-            yield next(iter(build(segment_sets, segments, mode)))
-            raise PermutationError("stopped after one example")
+        def one_example_then_fail(sources, segments, mode):
+            yield next(iter(build(sources, segments, mode)))
+            raise LexaliError("stopped after one example")
 
         monkeypatch.setattr(augment, "augment_corpus", one_example_then_fail)
         assert run(["augment", "--out", out]) == 1
@@ -639,7 +642,7 @@ class TestPipeline:
         assert {name: (out / name).read_bytes() for name in names} == before
         assert not list(out.glob("*.tmp"))
 
-    @pytest.mark.parametrize("stage", ["ali", "bpe-apply", "augment"])
+    @pytest.mark.parametrize("stage", ["ali", "bpe-apply", "bpe-apply-lex", "augment"])
     def test_line_count_mismatch_names_every_file(self, tmp_path, toy_args, capsys, stage):
         out = tmp_path / "run"
         assert run(["pipeline", *toy_args]) == 0
@@ -651,6 +654,11 @@ class TestPipeline:
         elif stage == "bpe-apply":
             argv = ["bpe-apply", "--src", data_path("toy.src"), "--tgt", short, "--out", out]
             counts = f"{data_path('toy.src')}=2, {short}=1"
+        elif stage == "bpe-apply-lex":
+            long = out / cli.LEX_WORDS
+            long.write_text(long.read_text() + "ein\n")
+            argv = toy_argv("bpe-apply", out)
+            counts = f"{data_path('toy.src')}=2, {long}=3, {out / cli.ALI_WORDS}=2"
         else:
             short = out / cli.ALI_BPE
             short.write_text(short.read_text().splitlines()[0] + "\n")
@@ -659,8 +667,21 @@ class TestPipeline:
                 f"{out / name}={1 if name == cli.ALI_BPE else 2}"
                 for name in (cli.SRC_BPE, cli.TGT_BPE, cli.LEX_BPE, cli.ALI_BPE)
             )
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: line counts disagree: {counts}\n"
+        # each stage checks its inputs before its first write
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_bpe_apply_names_an_empty_train_lex_line(self, tmp_path, toy_args, capsys):
+        out = tmp_path / "run"
+        assert run(["pipeline", *toy_args]) == 0
+        lex = out / cli.LEX_WORDS
+        lex.write_text(lex.read_text().splitlines()[0] + "\n\n")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run(toy_argv("bpe-apply", out)) == 1
+        assert capsys.readouterr().err == f"error: {lex}:2: empty line\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_bpe_learn_empty_corpus_rejected(self, tmp_path, capsys):
         for side in ("src", "tgt"):
@@ -859,22 +880,19 @@ class TestMemory:
 
         tracemalloc.start()
         try:
-            sides = [
+            src, tgt, lex, ali = [
                 corpus.read_sentences(out / name)
                 for name in (cli.SRC_BPE, cli.TGT_BPE, cli.LEX_BPE, cli.ALI_BPE)
             ]
-            segment_sets = [
-                augment.SegmentSet(source=src, tgt=tgt, lex=lex, ali=ali)
-                for src, tgt, lex, ali in zip(*sides)
-            ]
+            segments = dict(zip(kinds, (lex, ali, tgt)))
             inputs_size = tracemalloc.get_traced_memory()[0]
-            examples = list(augment.augment_corpus(segment_sets, kinds, "full"))
+            examples = list(augment.augment_corpus(src, segments, "full"))
             examples_size = tracemalloc.get_traced_memory()[0] - inputs_size
         finally:
             tracemalloc.stop()
-        assert len(examples) == 6 * len(segment_sets)
-        # beyond the segment sets it reads, the stage holds less than a
-        # quarter of what the list of its examples would
+        assert len(examples) == 6 * len(src)
+        # beyond the sentences it reads, the stage holds less than a quarter
+        # of what the list of its examples would
         assert stage_peak - inputs_size < examples_size / 4
 
     def test_align_holds_one_direction_at_a_time(self, tmp_path):

@@ -9,15 +9,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lexali.augment import (
-    AugmentedExample,
+    MARKER_TOKENS,
     SegmentKind,
-    SegmentSet,
     augment_corpus,
     control_token,
     extract_segment,
     write_augmented,
 )
-from lexali.errors import MarkerError, PermutationError
+from lexali.errors import MarkerError
 from oracles import (
     augment_loop_oracle,
     compose_target,
@@ -30,9 +29,13 @@ LEX, ALI, TGT = SegmentKind.LEX, SegmentKind.ALI, SegmentKind.TGT
 TOKEN = st.text(alphabet="abcdef", min_size=1, max_size=4)
 SEGMENT = st.lists(TOKEN, min_size=0, max_size=5).map(tuple)
 
+SOURCE = ("s1", "s2")
+SEGMENTS = {LEX: ("l1", "l2"), ALI: ("a1",), TGT: ("t1", "t2", "t3")}
 
-def segment_set(lex=("l1", "l2"), ali=("a1",), tgt=("t1", "t2", "t3")):
-    return SegmentSet(source=("s1", "s2"), tgt=tgt, lex=lex, ali=ali)
+
+def columns(kinds, n=1):
+    """n sentences' segments of the given kinds, keyed in the given order."""
+    return {kind: [SEGMENTS[kind]] * n for kind in kinds}
 
 
 def test_markers_and_digits():
@@ -43,30 +46,16 @@ def test_markers_and_digits():
 
 
 def test_compose_concatenates_marked_segments():
-    examples = list(augment_corpus([segment_set()], (TGT, LEX), "full"))
-    assert examples[1].order == (TGT, LEX)
-    assert examples[1].target_tokens == (
-        "<tgt>", "t1", "t2", "t3", "<lex>", "l1", "l2"
+    examples = list(augment_corpus([SOURCE], columns((TGT, LEX)), "full"))
+    assert examples[1] == (
+        "<31> s1 s2", "<tgt> t1 t2 t3 <lex> l1 l2", "0\t31\t3\t2"
     )
 
 
-def test_compose_requires_tgt():
-    with pytest.raises(PermutationError, match="tgt"):
-        augment_corpus([segment_set()], (LEX, ALI), "full")
-
-
-def test_compose_rejects_duplicates():
-    with pytest.raises(PermutationError, match="duplicate"):
-        augment_corpus([segment_set()], (TGT, TGT), "full")
-
-
-def test_compose_rejects_missing_segment():
-    bare = SegmentSet(source=("s",), tgt=("t",))
-    with pytest.raises(PermutationError, match="segment lex is not available"):
-        augment_corpus([bare], (TGT, LEX), "full")
-    # checked at the call, not when the examples are first iterated
-    with pytest.raises(PermutationError, match="segment lex is not available"):
-        augment_corpus([segment_set(), bare], (TGT, LEX), "full")
+def test_a_short_column_raises_instead_of_truncating():
+    segments = {TGT: [SEGMENTS[TGT]] * 2, LEX: [SEGMENTS[LEX]]}
+    with pytest.raises(ValueError, match="shorter"):
+        list(augment_corpus([SOURCE] * 2, segments, "full"))
 
 
 def test_control_token_digits_follow_order():
@@ -86,58 +75,48 @@ def test_all_fifteen_control_tokens_distinct():
 
 @pytest.mark.parametrize("bad", ["<12", "12>", "<11>", "<4>", "<>", "x", "<1234>"])
 def test_parse_control_token_rejects(bad):
-    with pytest.raises(PermutationError):
+    with pytest.raises(ValueError):
         parse_control_token(bad)
 
 
 class TestAugment:
-    def sets(self, n=2):
-        return [segment_set() for _ in range(n)]
-
     def test_simple_mode_one_canonical_example(self):
-        examples = augment_corpus(self.sets(2), (TGT, LEX, ALI), "simple")
+        examples = augment_corpus([SOURCE] * 2, columns((TGT, LEX, ALI), 2), "simple")
         assert len(examples) == 2
-        for i, example in enumerate(examples):
-            assert example.sentence_index == i
-            # canonical order is ascending digits, no control token
-            assert example.order == (LEX, ALI, TGT)
-            assert example.source_tokens == ("s1", "s2")
-            assert example.target_tokens[0] == "<lex>"
+        # canonical order is ascending digits, no control token
+        assert list(examples) == [
+            ("s1 s2", "<lex> l1 l2 <ali> a1 <tgt> t1 t2 t3", f"{i}\t123\t2\t1\t3")
+            for i in range(2)
+        ]
 
     def test_full_mode_emits_lexicographic_permutations(self):
-        examples = augment_corpus(self.sets(1), (LEX, ALI, TGT), "full")
+        examples = augment_corpus([SOURCE], columns((LEX, ALI, TGT)), "full")
         assert len(examples) == 6
-        digit_orders = [
-            "".join(k.digit for k in example.order) for example in examples
-        ]
+        digit_orders = [manifest.split("\t")[1] for _, _, manifest in examples]
         assert digit_orders == ["123", "132", "213", "231", "312", "321"]
-        for example in examples:
-            token = example.source_tokens[0]
-            assert parse_control_token(token) == example.order
-            assert example.source_tokens[1:] == ("s1", "s2")
+        for (src_line, tgt_line, _), digits in zip(examples, digit_orders):
+            token, *source = src_line.split(" ")
+            order = parse_control_token(token)
+            assert "".join(kind.digit for kind in order) == digits
+            assert tuple(source) == SOURCE
+            markers = [t for t in tgt_line.split(" ") if t in MARKER_TOKENS]
+            assert markers == [kind.marker for kind in order]
 
     def test_two_kind_subset(self):
-        examples = list(augment_corpus(self.sets(3), (TGT, LEX), "full"))
+        examples = list(augment_corpus([SOURCE] * 3, columns((TGT, LEX), 3), "full"))
         assert len(examples) == 6
-        assert examples[0].order == (LEX, TGT)
-        assert examples[1].order == (TGT, LEX)
+        assert [manifest.split("\t")[:2] for _, _, manifest in examples] == [
+            [str(i), digits] for i in range(3) for digits in ("13", "31")
+        ]
 
     def test_segment_lengths_recorded(self):
-        examples = augment_corpus(self.sets(1), (LEX, ALI, TGT), "full")
+        examples = augment_corpus([SOURCE], columns((LEX, ALI, TGT)), "full")
         by_digits = {
-            "".join(k.digit for k in e.order): e.segment_lengths
-            for e in examples
+            manifest.split("\t")[1]: manifest.split("\t")[2:]
+            for _, _, manifest in examples
         }
-        assert by_digits["123"] == (2, 1, 3)
-        assert by_digits["321"] == (3, 1, 2)
-
-    def test_mode_and_subset_validation(self):
-        with pytest.raises(ValueError):
-            augment_corpus(self.sets(1), (LEX, TGT), "fancy")
-        with pytest.raises(PermutationError):
-            augment_corpus(self.sets(1), (LEX, ALI), "full")
-        with pytest.raises(PermutationError):
-            augment_corpus(self.sets(1), (), "full")
+        assert by_digits["123"] == ["2", "1", "3"]
+        assert by_digits["321"] == ["3", "1", "2"]
 
 
 class TestExtract:
@@ -162,31 +141,18 @@ class TestExtract:
         assert extract_segment(output, TGT) == ("t",)
 
 
-@given(
-    source=SEGMENT,
-    lex=SEGMENT,
-    ali=SEGMENT,
-    tgt=SEGMENT,
-)
-def test_extract_inverts_compose_for_every_permutation(source, lex, ali, tgt):
-    segments = SegmentSet(source=source, tgt=tgt, lex=lex, ali=ali)
+@given(lex=SEGMENT, ali=SEGMENT, tgt=SEGMENT)
+def test_extract_inverts_compose_for_every_permutation(lex, ali, tgt):
+    segments = {LEX: lex, ALI: ali, TGT: tgt}
     for order in itertools.permutations((LEX, ALI, TGT)):
         composed = compose_target(segments, order)
         for kind in order:
-            expected = {"lex": lex, "ali": ali, "tgt": tgt}[kind.name.lower()]
-            assert extract_segment(composed, kind) == expected
+            assert extract_segment(composed, kind) == segments[kind]
 
 
 def test_write_augmented_files(tmp_path):
-    example = AugmentedExample(
-        sentence_index=0,
-        order=(TGT, LEX),
-        source_tokens=("<31>", "s"),
-        target_tokens=("<tgt>", "t", "<lex>", "l"),
-        segment_lengths=(1, 1),
-    )
     write_augmented(
-        [example],
+        [("<31> s", "<tgt> t <lex> l", "0\t31\t1\t1")],
         tmp_path / "a.src",
         tmp_path / "a.tgt",
         tmp_path / "a.tsv",
@@ -204,27 +170,12 @@ KINDS = st.sampled_from([(TGT,), (LEX, TGT), (ALI, TGT), (LEX, ALI, TGT)]).flatm
 
 @st.composite
 def corpora(draw):
-    """Kinds plus segment sets; a segment outside the kinds may be absent."""
+    """Source sentences and one line-aligned column per kind, keyed in the
+    drawn order; any sentence or segment may be empty."""
     kinds = draw(KINDS)
-
-    def segment(kind):
-        if kind in kinds:
-            return SEGMENT
-        return st.one_of(st.none(), SEGMENT)
-
-    segment_sets = draw(
-        st.lists(
-            st.builds(
-                SegmentSet,
-                source=SEGMENT,
-                tgt=SEGMENT,
-                lex=segment(LEX),
-                ali=segment(ALI),
-            ),
-            max_size=4,
-        )
-    )
-    return segment_sets, tuple(kinds)
+    size = draw(st.integers(min_value=0, max_value=4))
+    sentences = st.lists(SEGMENT, min_size=size, max_size=size)
+    return draw(sentences), {kind: draw(sentences) for kind in kinds}
 
 
 def write_both(examples, expected):
@@ -241,16 +192,13 @@ def write_both(examples, expected):
 
 
 @given(corpus=corpora(), mode=st.sampled_from(["simple", "full"]))
-@example(corpus=([], (TGT, ALI, LEX)), mode="full")
-@example(
-    corpus=([SegmentSet(source=(), tgt=(), lex=(), ali=())], (TGT, ALI, LEX)),
-    mode="full",
-)
-@example(corpus=([SegmentSet(source=(), tgt=("t",))], (TGT,)), mode="simple")
+@example(corpus=([], {TGT: [], ALI: [], LEX: []}), mode="full")
+@example(corpus=([()], {TGT: [()], ALI: [()], LEX: [()]}), mode="full")
+@example(corpus=([()], {TGT: [("t",)]}), mode="simple")
 def test_equals_loop_reference_exactly(corpus, mode):
-    segment_sets, kinds = corpus
-    examples = list(augment_corpus(segment_sets, kinds, mode))
-    expected = augment_loop_oracle(segment_sets, kinds, mode)
+    sources, segments = corpus
+    examples = list(augment_corpus(sources, segments, mode))
+    expected = augment_loop_oracle(sources, segments, mode)
     assert examples == expected
     written, oracle_written = write_both(examples, expected)
     assert written == oracle_written
@@ -258,12 +206,12 @@ def test_equals_loop_reference_exactly(corpus, mode):
 
 @given(corpus=corpora(), mode=st.sampled_from(["simple", "full"]))
 def test_examples_view_is_sized_and_re_iterable(corpus, mode):
-    segment_sets, kinds = corpus
-    examples = augment_corpus(segment_sets, kinds, mode)
+    sources, segments = corpus
+    examples = augment_corpus(sources, segments, mode)
     first = list(examples)
     assert len(examples) == len(first)
     assert list(examples) == first
-    expected = augment_loop_oracle(segment_sets, kinds, mode)
+    expected = augment_loop_oracle(sources, segments, mode)
     assert first == expected
     # a view already iterated writes the same bytes as the oracle
     written, oracle_written = write_both(examples, expected)
