@@ -61,16 +61,6 @@ class MergeTable:
         return len(self.merges)
 
 
-def _check_word(word: str) -> str:
-    if not word:
-        raise SegmentationError("cannot segment an empty word")
-    if "<" in word or ">" in word:
-        raise SegmentationError(
-            f"word {word!r} contains a reserved angle bracket"
-        )
-    return word
-
-
 def _pair_stats(
     words: list[list[str]], freqs: list[int]
 ) -> tuple[dict[Pair, int], dict[Pair, set[int]]]:
@@ -89,19 +79,11 @@ def learn_bpe(word_counts: Mapping[str, int], num_merges: int) -> MergeTable:
     """Greedily learn up to num_merges merge operations from weighted words.
 
     Stops early when the best remaining pair occurs fewer than
-    MIN_PAIR_COUNT times (weighted by word frequency).
+    MIN_PAIR_COUNT times (weighted by word frequency). The words are corpus
+    tokens and the counts positive, as ``corpus.count_words`` gives them.
     """
-    if num_merges < 0:
-        raise ValueError(f"num_merges must be >= 0, got {num_merges}")
-    if not word_counts:
-        raise ValueError("word_counts is empty")
-    words = []
-    freqs = []
-    for word, count in word_counts.items():
-        if count < 1:
-            raise ValueError(f"word {word!r} has non-positive count {count}")
-        words.append(list(_check_word(word)) + [WORD_END])
-        freqs.append(count)
+    words = [list(word) + [WORD_END] for word in word_counts]
+    freqs = list(word_counts.values())
 
     # index[pair] holds every word that has the pair, and may still hold
     # words that lost it (a merge pass over such a word changes nothing)
@@ -214,9 +196,6 @@ def split_word(
     since it never participates in a merge, the replay runs over the
     character symbols alone.
     """
-    _check_word(word)
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
     ranks = table.ranks
     pieces = [_Piece(ch) for ch in word]
     while len(pieces) > 1:

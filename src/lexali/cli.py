@@ -23,7 +23,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__, augment, bleu, bpe, corpus, mbr, model1, sequences, symmetrize
-from .errors import ConfigError, LexaliError, MarkerError, PipelineError, SegmentationError
+from .errors import ConfigError, LexaliError, MarkerError, PipelineError
 
 TABLE_T2S = "model1.tgt_to_src.txt"
 TABLE_S2T = "model1.src_to_tgt.txt"
@@ -271,12 +271,10 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
     segment = bpe.make_segmenter(table)
 
     pairs = corpus.load_parallel(src, tgt).pairs
-    # train.ali may hold empty lines; train.lex holds corpus tokens
-    words = {
-        LEX_BPE: (out / LEX_WORDS, corpus.load_sentences(out / LEX_WORDS)),
-        ALI_BPE: (out / ALI_WORDS, corpus.read_sentences(out / ALI_WORDS)),
-    }
-    corpus.check_line_counts((src, pairs), *words.values())
+    lex = corpus.load_sentences(out / LEX_WORDS)
+    # an all-NULL target gives an empty train.ali line
+    ali = corpus.load_sentences(out / ALI_WORDS, empty_ok=True)
+    corpus.check_line_counts((src, pairs), (out / LEX_WORDS, lex), (out / ALI_WORDS, ali))
     src_bpe = [segment(s) for s, _ in pairs]
     corpus.write_sentences(src_bpe, out / SRC_BPE)
     tgt_bpe = [segment(t) for _, t in pairs]
@@ -288,25 +286,22 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
     corpus.write_vocab(tgt_vocab, out / TGT_VOCAB)
 
     constrained = bpe.make_segmenter(table, tgt_vocab, vocab_threshold)
-    for out_name, (path, sentences) in words.items():
-        segmented = []
-        for lineno, sentence in enumerate(sentences, start=1):
-            try:
-                segmented.append(constrained(sentence))
-            except SegmentationError as error:
-                raise SegmentationError(f"{path}:{lineno}: {error}") from error
-        corpus.write_sentences(segmented, out / out_name)
+    corpus.write_sentences(map(constrained, lex), out / LEX_BPE)
+    corpus.write_sentences(map(constrained, ali), out / ALI_BPE)
 
 
 def stage_augment(out: Path, segments: Sequence[augment.SegmentKind], mode: str) -> None:
-    paths = [out / name for name in (SRC_BPE, TGT_BPE, LEX_BPE, ALI_BPE)]
-    # train.ali.bpe may hold empty lines; the other three hold corpus tokens
-    sides = [*map(corpus.load_sentences, paths[:3]), corpus.read_sentences(paths[3])]
-    corpus.check_line_counts(*zip(paths, sides))
-    src, tgt, lex, ali = sides
     kinds = augment.SegmentKind
-    columns = {kinds.TGT: tgt, kinds.LEX: lex, kinds.ALI: ali}
-    examples = augment.augment_corpus(src, {kind: columns[kind] for kind in segments}, mode)
+    files = {kinds.TGT: TGT_BPE, kinds.LEX: LEX_BPE, kinds.ALI: ALI_BPE}
+    # the source, then only the configured sides, in the order src, tgt, lex,
+    # ali; an all-NULL target gives an empty train.ali.bpe line
+    sides = {
+        name: corpus.load_sentences(out / name, empty_ok=name == ALI_BPE)
+        for name in (SRC_BPE, *(files[kind] for kind in files if kind in segments))
+    }
+    corpus.check_line_counts(*((out / name, lines) for name, lines in sides.items()))
+    columns = {kind: sides[files[kind]] for kind in segments}
+    examples = augment.augment_corpus(sides[SRC_BPE], columns, mode)
     augment.write_augmented(
         examples, out / AUG_SRC, out / AUG_TGT, out / AUG_MANIFEST
     )
@@ -442,6 +437,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_mbr(args: argparse.Namespace) -> int:
+    if args.scores and os.path.realpath(args.scores) == os.path.realpath(args.output):
+        raise ConfigError(f"--scores and --output name the same file: {args.scores}")
     kind = _UTILITY_ALIASES[args.utility]
     candidate_files = [corpus.read_sentences(path) for path in args.candidates]
     corpus.check_line_counts(*zip(args.candidates, candidate_files))

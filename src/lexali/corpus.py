@@ -11,7 +11,11 @@ is assumed pre-tokenized; runs of whitespace collapse to a single
 separator. Tokens containing angle brackets are rejected at load time so
 that segment markers (``<lex>``, ``<ali>``, ``<tgt>``), permutation control
 tokens and the aligner's internal NULL word can never collide with corpus
-content.
+content. Every sentence file a stage reads from its working directory
+(``train.lex``, ``train.ali``, ``train.*.bpe``) is read under this rule
+too, so no code downstream of a reader checks it again; ``train.ali`` and
+``train.ali.bpe`` may also hold empty lines. Decoded output, which holds
+the markers, is read without it.
 """
 
 from __future__ import annotations
@@ -114,9 +118,11 @@ def check_line_counts(*files: tuple[str | Path, Sized]) -> None:
         )
 
 
-def _parse_line(line: str, path: str | Path, lineno: int) -> Sentence:
+def _parse_line(
+    line: str, path: str | Path, lineno: int, empty_ok: bool = False
+) -> Sentence:
     tokens = tuple(line.split())
-    if not tokens:
+    if not (tokens or empty_ok):
         raise CorpusFormatError(f"{path}:{lineno}: empty line")
     # one scan of the whole line; the tokens are searched only to name one
     if "<" in line or ">" in line:
@@ -127,21 +133,19 @@ def _parse_line(line: str, path: str | Path, lineno: int) -> Sentence:
     return tokens
 
 
-def load_sentences(path: str | Path) -> list[Sentence]:
-    """Read and validate one corpus side: no empty lines, no reserved tokens."""
+def load_sentences(path: str | Path, *, empty_ok: bool = False) -> list[Sentence]:
+    """Read and validate one corpus side: no reserved tokens, and no empty
+    lines unless ``empty_ok``, where an empty line is an empty sentence."""
     return [
-        _parse_line(line, path, lineno)
+        _parse_line(line, path, lineno, empty_ok)
         for lineno, line in enumerate(read_lines(path), start=1)
     ]
 
 
 def read_sentences(path: str | Path) -> list[Sentence]:
-    """Read token sequences without corpus validation.
-
-    Empty lines yield empty sequences. Meant for tool-produced files
-    (candidate translations, decoded output, reordered sequences) that may
-    legitimately contain marker tokens or blank lines.
-    """
+    """Read token sequences without corpus validation, for decoded output
+    only (``extract``, ``mbr`` and ``bleu`` inputs), whose lines may hold
+    marker tokens or be empty."""
     return [tuple(line.split()) for line in read_lines(path)]
 
 

@@ -16,7 +16,8 @@ class CorpusFormatError(LexaliError):
 
 
 class SegmentationError(LexaliError):
-    """Invalid subword input or a marker sequence that cannot be rejoined."""
+    """A merge file that cannot be read as a merge table, or a segmented
+    sequence that cannot be rejoined."""
 
 
 class AlignmentError(LexaliError):

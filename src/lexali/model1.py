@@ -79,10 +79,6 @@ def train_model1(
     going into the last iteration, and a row for every conditioning word
     whose expected count is positive.
     """
-    if direction not in (TGT_TO_SRC, SRC_TO_TGT):
-        raise ValueError(f"unknown direction: {direction!r}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
     if not corpus.pairs:
         raise CorpusFormatError("cannot train on an empty corpus")
 

@@ -65,16 +65,6 @@ class TestLearn:
     def test_zero_merges_allowed(self):
         assert bpe.learn_bpe({"abc": 3}, 0).merges == ()
 
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            bpe.learn_bpe({}, 5)
-        with pytest.raises(ValueError):
-            bpe.learn_bpe({"ab": 3}, -1)
-        with pytest.raises(ValueError):
-            bpe.learn_bpe({"ab": 0}, 1)
-        with pytest.raises(SegmentationError):
-            bpe.learn_bpe({"a<b": 1}, 1)
-
     @given(LEARN_CASES)
     @example(({"aaaa": 3, "aaa": 2}, 10))  # overlapping repeats
     @example(({"abab": 3, "bab": 2}, 10))  # alternating pairs

@@ -599,13 +599,13 @@ class TestPipeline:
         assert (out / cli.LEX_WORDS).read_bytes() == before
 
     # a stage-written file, a stage that reads it, and what that stage calls
-    # each token: ali, augment and bpe-apply read the file as a corpus side,
-    # except train.ali, whose words bpe-apply segments
+    # each token: every stage reads the file as a corpus side
     @pytest.mark.parametrize(
         ("name", "stage", "what"),
         [(cli.LEX_WORDS, "ali", "token"), (cli.SRC_BPE, "augment", "token"),
          (cli.TGT_BPE, "augment", "token"), (cli.LEX_BPE, "augment", "token"),
-         (cli.LEX_WORDS, "bpe-apply", "token"), (cli.ALI_WORDS, "bpe-apply", "word")],
+         (cli.ALI_BPE, "augment", "token"), (cli.LEX_WORDS, "bpe-apply", "token"),
+         (cli.ALI_WORDS, "bpe-apply", "token")],
     )
     def test_angle_bracket_in_a_stage_written_file_names_file_and_line(
         self, tmp_path, toy_args, capsys, name, stage, what
@@ -641,6 +641,26 @@ class TestPipeline:
         assert capsys.readouterr().err == "error: stopped after one example\n"
         assert {name: (out / name).read_bytes() for name in names} == before
         assert not list(out.glob("*.tmp"))
+
+    def test_augment_reads_only_the_configured_sides(self, tmp_path, toy_args):
+        clean, out = tmp_path / "clean", tmp_path / "run"
+        for path in (clean, out):
+            assert run(["pipeline", *toy_args[:4], "--out", path, "--segments", "tgt"]) == 0
+        (out / cli.LEX_BPE).write_text("a <b>\n", encoding="utf-8")
+        (out / cli.ALI_BPE).unlink()
+        assert run(["augment", "--out", out, "--segments", "tgt"]) == 0
+        for name in (cli.AUG_SRC, cli.AUG_TGT, cli.AUG_MANIFEST):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+    def test_empty_train_ali_line_passes_bpe_apply_and_augment(self, tmp_path, toy_args):
+        # an all-NULL target gives an empty ali
+        out = tmp_path / "run"
+        assert run(["pipeline", *toy_args]) == 0
+        ali = out / cli.ALI_WORDS
+        ali.write_text(ali.read_text().splitlines()[0] + "\n\n")
+        assert run(toy_argv("bpe-apply", out)) == 0
+        assert (out / cli.ALI_BPE).read_text().splitlines()[1] == ""
+        assert run(["augment", "--out", out]) == 0
 
     @pytest.mark.parametrize("stage", ["ali", "bpe-apply", "bpe-apply-lex", "augment"])
     def test_line_count_mismatch_names_every_file(self, tmp_path, toy_args, capsys, stage):
@@ -748,6 +768,22 @@ class TestDecodingCommands:
         line = scores.read_text(encoding="utf-8").strip()
         assert line.endswith("empty=1")
         assert len(line.split("\t")) == 3
+
+    def test_mbr_rejects_scores_naming_the_output(self, tmp_path, capsys):
+        (tmp_path / "c0.txt").write_text("a b\n", encoding="utf-8")
+        (tmp_path / "c1.txt").write_text("a c\n", encoding="utf-8")
+        out = tmp_path / "same.txt"
+        out.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(out)
+        assert run([
+            "mbr", tmp_path / "c0.txt", tmp_path / "c1.txt",
+            "--output", out, "--scores", link,
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --scores and --output name the same file: {link}\n"
+        )
+        assert out.read_text(encoding="utf-8") == "old\n"
 
     def test_mbr_tie_takes_smallest_index(self, tmp_path):
         # under exact match line 1 ties all five candidates and line 2 ties

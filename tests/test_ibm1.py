@@ -150,10 +150,6 @@ class TestTraining:
         assert first.probs == second.probs
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            model1.train_model1(TOY, "tgt_to_src", 0)
-        with pytest.raises(ValueError):
-            model1.train_model1(TOY, "sideways", 1)
         with pytest.raises(CorpusFormatError):
             model1.train_model1(ParallelCorpus(pairs=()), "tgt_to_src", 1)
 
