@@ -128,14 +128,12 @@ def extract_segment(
     end. A repeated marker for the requested kind is ambiguous and raises.
     """
     marker = kind.marker
-    positions = [i for i, token in enumerate(output) if token == marker]
-    if len(positions) > 1:
-        raise MarkerError(
-            f"marker {marker} appears {len(positions)} times in the output"
-        )
-    if not positions:
+    count = output.count(marker)
+    if count > 1:
+        raise MarkerError(f"marker {marker} appears {count} times in the output")
+    if not count:
         return None
-    start = positions[0] + 1
+    start = output.index(marker) + 1
     end = len(output)
     for i in range(start, len(output)):
         if output[i] in MARKER_TOKENS:

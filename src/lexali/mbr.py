@@ -22,18 +22,20 @@ Every utility returns 1.0 when both sides are empty and 0.0 when exactly
 one side is empty.
 
 Scoring a pool builds one profile per distinct candidate (for chrF the
-character n-gram counters of orders 1 to min(6, length) of the joined text,
-for sentence BLEU the token n-gram counters of orders 1 to 4, both from
-``bleu.ngram_counts``) and scores each unordered pair of distinct candidates
-once. The clipped overlap, a sum of min counts, is the same in both
-directions, so one overlap per order yields u(a, b) and u(b, a): a's chrF
-precision terms are b's recall terms, and sentence BLEU shares the matched
-counts while each side keeps its own totals and brevity. The floats are
-those of scoring every ordered pair on its own: each order's precision is
-one int-by-int division, the per-order terms are averaged with the built-in
-``sum`` over a list (compensated on Python 3.12+, so a loop would round
-differently), and each pool row adds its utilities one by one in pool
-order, duplicates included, before dividing by the pool size.
+character n-grams of orders 1 to min(6, length) of the joined text, for
+sentence BLEU the token n-grams of orders 1 to 4, both from
+``bleu.ngram_counts``: per order a ``set`` when no n-gram repeats, else a
+``Counter``, with unigrams keyed by the item itself) and scores each
+unordered pair of distinct candidates once. The clipped overlap, a sum of
+min counts, is the same in both directions, so one overlap per order yields
+u(a, b) and u(b, a): a's chrF precision terms are b's recall terms, and
+sentence BLEU shares the matched counts while each side keeps its own
+totals and brevity. The floats are those of scoring every ordered pair on
+its own: each order's precision is one int-by-int division, the per-order
+terms are added left to right in a loop (the built-in ``sum`` compensates
+float sums on Python 3.12+, which would round differently there), and each
+pool row adds its utilities one by one in pool order, duplicates included,
+before dividing by the pool size.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
 BLEU_MAX_ORDER = 4
 
-# (length, n-gram counters): the length is that of the joined text for chrF
+# (length, n-gram profile): the length is that of the joined text for chrF
 # and the token count for sentence BLEU
 Profile = tuple[int, list]
 
@@ -79,10 +81,13 @@ def _chrf_pair(a: Profile, b: Profile) -> tuple[float, float]:
         return 0.0, 0.0
     matched = clipped_matches(a_grams, b_grams, CHRF_MAX_ORDER)
     # order k + 1 of a text of length n has n - k n-grams
-    a_terms = [matched[k] / (a_length - k) for k in range(len(a_grams))]
-    b_terms = [matched[k] / (b_length - k) for k in range(len(b_grams))]
-    a_mean = sum(a_terms) / len(a_terms)
-    b_mean = sum(b_terms) / len(b_terms)
+    a_sum = b_sum = 0.0
+    for k in range(len(a_grams)):
+        a_sum += matched[k] / (a_length - k)
+    for k in range(len(b_grams)):
+        b_sum += matched[k] / (b_length - k)
+    a_mean = a_sum / len(a_grams)
+    b_mean = b_sum / len(b_grams)
     return _f_score(a_mean, b_mean), _f_score(b_mean, a_mean)
 
 

@@ -453,8 +453,14 @@ def chrf_loop_oracle(hyp, ref):
         ref_grams = _slice_counts(ref_text, order)
         matched = _clipped(ref_grams, _slice_counts(hyp_text, order))
         recalls.append(matched / sum(ref_grams.values()))
-    precision = sum(precisions) / len(precisions)
-    recall = sum(recalls) / len(recalls)
+    precision = 0.0
+    for term in precisions:
+        precision += term
+    precision /= len(precisions)
+    recall = 0.0
+    for term in recalls:
+        recall += term
+    recall /= len(recalls)
     denom = 4.0 * precision + recall
     if denom == 0.0:
         return 0.0
@@ -515,7 +521,10 @@ def corpus_bleu_loop_oracle(hyps, refs):
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = 100.0 * brevity * math.exp(sum(math.log(p) for p in precisions) / 4)
+        log_sum = 0.0
+        for p in precisions:
+            log_sum += math.log(p)
+        score = 100.0 * brevity * math.exp(log_sum / 4)
     return score, precisions, brevity, hyp_length, ref_length
 
 
@@ -576,6 +585,24 @@ def augment_loop_oracle(sources, segments, mode):
                 )
             )
     return lines
+
+
+def extract_oracle(output, kind):
+    """List-scan extraction: None without the marker, the number of times it
+    appears when that is more than once, else the tokens up to the next
+    marker of any kind."""
+    markers = {other.marker for other in SegmentKind}
+    positions = [i for i in range(len(output)) if output[i] == kind.marker]
+    if len(positions) > 1:
+        return len(positions)
+    if not positions:
+        return None
+    segment = []
+    for token in output[positions[0] + 1 :]:
+        if token in markers:
+            break
+        segment.append(token)
+    return tuple(segment)
 
 
 def write_augmented_oracle(lines, src_path, tgt_path, manifest_path):

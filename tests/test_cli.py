@@ -1,6 +1,7 @@
 """Command line behavior: config handling, stages, determinism, errors."""
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -60,8 +61,32 @@ MINI_AUGMENTED = {
 }
 
 
+# sha256 of the `mbr` consensus and `--scores` files for each utility on the
+# candidate files of `write_mini_pools`, and the `bleu` line of its rotated
+# candidates against mini.tgt; the same on every supported Python version
+MINI_DECODE = {
+    "chrf": (
+        "48807c50002045ad817e628e59136de8e3bd5e6dbc14a62c4c1af47e1078c249",
+        "5d5ce0065b7c391e488cc506a8faa65de6ec8fb489435a6af9bae85f10cccb17",
+    ),
+    "sbleu": (
+        "5aea98060be495b29bf8568ff854a03eb85003e10b3a3eb1199f9a9d4ab80eaf",
+        "246e9f7181226cd340f701264efec3bfc822d60013e503e6f2974f6787d1013f",
+    ),
+    "exact": (
+        "5aea98060be495b29bf8568ff854a03eb85003e10b3a3eb1199f9a9d4ab80eaf",
+        "31c1e8255f873dccb1ec052144e59d08079298381fdf01c6e352e8475befa856",
+    ),
+}
+MINI_BLEU = "BLEU = 79.38 (100.0/79.9/74.8/66.4, BP=1.000)"
+
+
 def data_path(name):
     return str(DATA / name)
+
+
+def sha256_file(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run(argv):
@@ -92,6 +117,30 @@ def toy_argv(command, out):
         for flag in (f"--{side}", data_path(f"toy.{side}"))
     ]
     return [command, *corpus_flags, "--out", out]
+
+
+def write_mini_pools(directory, lines=200):
+    """Six candidate files built from the first ``lines`` lines of mini.tgt:
+    the line, the line without its last token, the line rotated by one
+    token, the line again, the line followed by its first three tokens, and
+    the next line, wrapping round (empty on every tenth line). Pools thus hold duplicates,
+    empty candidates and n-grams repeated at every order."""
+    text = (DATA / "mini.tgt").read_text(encoding="utf-8")
+    targets = [tuple(line.split()) for line in text.splitlines()]
+    columns = [[] for _ in range(6)]
+    for i, target in enumerate(targets[:lines]):
+        candidates = (
+            target, target[:-1], target[1:] + target[:1], target, target + target[:3],
+            () if i % 10 == 0 else targets[(i + 1) % len(targets)],
+        )
+        for column, candidate in zip(columns, candidates):
+            column.append(" ".join(candidate) + "\n")
+    paths = []
+    for k, column in enumerate(columns):
+        path = directory / f"cand{k}.txt"
+        path.write_text("".join(column), encoding="utf-8")
+        paths.append(path)
+    return paths
 
 
 @pytest.fixture
@@ -841,6 +890,20 @@ class TestDecodingCommands:
         assert run(["bleu", "--hyp", hyp, "--ref", hyp]) == 0
         out = capsys.readouterr().out
         assert out == "BLEU = 100.00 (100.0/100.0/100.0/100.0, BP=1.000)\n"
+
+    @pytest.mark.parametrize("utility", sorted(MINI_DECODE))
+    def test_mbr_on_mini_pools_matches_pinned_checksums(self, tmp_path, utility):
+        out, scores = tmp_path / "consensus.txt", tmp_path / "scores.txt"
+        assert run([
+            "mbr", *write_mini_pools(tmp_path), "--utility", utility,
+            "--output", out, "--scores", scores,
+        ]) == 0
+        assert (sha256_file(out), sha256_file(scores)) == MINI_DECODE[utility]
+
+    def test_bleu_on_mini_pools_matches_pinned_line(self, tmp_path, capsys):
+        rotated = write_mini_pools(tmp_path, lines=1000)[2]
+        assert run(["bleu", "--hyp", rotated, "--ref", data_path("mini.tgt")]) == 0
+        assert capsys.readouterr().out == MINI_BLEU + "\n"
 
     def test_bleu_mismatch_fails(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"

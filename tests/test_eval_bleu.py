@@ -2,14 +2,15 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexali.bleu import BleuReport, corpus_bleu
+from lexali.bleu import BleuReport, clipped_matches, corpus_bleu, ngram_counts
 from lexali.errors import ScoringError
-from oracles import corpus_bleu_loop_oracle, corpus_bleu_oracle
+from oracles import _clipped, _slice_counts, corpus_bleu_loop_oracle, corpus_bleu_oracle
 
 LONG = [
     ("the", "cat", "sat", "on", "the", "mat"),
@@ -116,3 +117,53 @@ def test_equals_loop_reference_exactly(pairs):
     hyps = [hyp for hyp, _ in pairs]
     refs = [ref for _, ref in pairs]
     assert corpus_bleu(hyps, refs) == BleuReport(*corpus_bleu_loop_oracle(hyps, refs))
+
+
+PROFILE_ORDER = 6
+
+
+@st.composite
+def same_kind_pairs(draw):
+    """Two strings or two token tuples over one alphabet of 1 to 3 symbols,
+    so that each order meets sides that repeat an n-gram and sides that do
+    not."""
+    symbols = draw(st.sampled_from(["a", "ab", "abc"]))
+    sides = [draw(st.lists(st.sampled_from(symbols), max_size=9)) for _ in range(2)]
+    if draw(st.booleans()):
+        return tuple("".join(side) for side in sides)
+    return tuple(tuple(symbol * 2 for symbol in side) for side in sides)
+
+
+def _oracle_profile(items):
+    """Per order, the loop reference's slice counts keyed as ``ngram_counts``
+    keys them: a unigram by its item, a longer n-gram by its item tuple."""
+    return [
+        Counter({(gram[0] if order == 1 else tuple(gram)): count
+                 for gram, count in _slice_counts(items, order).items()})
+        for order in range(1, min(PROFILE_ORDER, len(items)) + 1)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=same_kind_pairs())
+@example(pair=("aab", "aba"))  # both sides repeat at order 1
+@example(pair=(("aa", "aa", "bb"), ("aa", "bb")))  # one side repeats at order 1
+@example(pair=("ab", "ba"))  # neither side repeats
+def test_profile_and_overlap_equal_slice_counts(pair):
+    left, right = pair
+    profiles = [ngram_counts(items, PROFILE_ORDER) for items in pair]
+    oracles = [_oracle_profile(items) for items in pair]
+    for profile, oracle in zip(profiles, oracles):
+        assert len(profile) == len(oracle)
+        for grams, counts in zip(profile, oracle):
+            # a set exactly when no n-gram of the order repeats
+            assert isinstance(grams, set) == (max(counts.values()) == 1)
+            assert Counter(grams) == counts
+    matches = clipped_matches(*profiles, PROFILE_ORDER)
+    assert matches == clipped_matches(*reversed(profiles), PROFILE_ORDER)
+    for order in range(1, PROFILE_ORDER + 1):
+        expected = (
+            _clipped(_slice_counts(left, order), _slice_counts(right, order))
+            if order <= min(len(left), len(right)) else 0
+        )
+        assert matches[order - 1] == expected

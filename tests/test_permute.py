@@ -20,6 +20,7 @@ from lexali.errors import MarkerError
 from oracles import (
     augment_loop_oracle,
     compose_target,
+    extract_oracle,
     parse_control_token,
     write_augmented_oracle,
 )
@@ -148,6 +149,24 @@ def test_extract_inverts_compose_for_every_permutation(lex, ali, tgt):
         composed = compose_target(segments, order)
         for kind in order:
             assert extract_segment(composed, kind) == segments[kind]
+
+
+@given(
+    output=st.lists(st.sampled_from(["a", "b", *sorted(MARKER_TOKENS)]), max_size=8).map(tuple),
+    kind=st.sampled_from(SegmentKind),
+)
+@example(output=("a", "<lex>", "b"), kind=TGT)  # marker absent
+@example(output=("a", "<tgt>"), kind=TGT)  # marker last
+@example(output=("<tgt>", "<ali>", "a"), kind=TGT)  # another marker right after
+@example(output=("<tgt>", "a", "<tgt>", "<tgt>"), kind=TGT)  # repeated marker
+def test_extract_equals_list_scan(output, kind):
+    expected = extract_oracle(output, kind)
+    if isinstance(expected, int):
+        with pytest.raises(MarkerError) as error:
+            extract_segment(output, kind)
+        assert str(error.value) == f"marker {kind.marker} appears {expected} times in the output"
+    else:
+        assert extract_segment(output, kind) == expected
 
 
 def test_write_augmented_files(tmp_path):
