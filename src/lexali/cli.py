@@ -3,8 +3,8 @@
 Every subcommand reads and writes fixed artifact names inside the working
 directory given by --out, so running the full pipeline is byte-identical to
 chaining the individual subcommands by hand. Each stage option is declared
-once, in OPTIONS; its value comes from a command line flag, else (for the
-pipeline) an optional "key = value" configuration file, else its default.
+once, in OPTIONS; its value comes from a command line flag, else its
+default.
 Every command that writes into --out, the pipeline and each stage, holds a
 lock file there while it runs; the pipeline also records a manifest of
 artifact checksums.
@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
@@ -92,10 +92,16 @@ def _parse_path(value: str, key: str) -> str:
     return value
 
 
+def _parse_out(value: str) -> str:
+    # an empty path would name the current directory
+    if not value:
+        raise ConfigError("out must not be empty")
+    return value
+
+
 def _parse_segments(value: str) -> tuple[augment.SegmentKind, ...]:
-    names = [part.strip() for part in value.split(",") if part.strip()]
     kinds = []
-    for name in names:
+    for name in (part.strip() for part in value.split(",")):
         try:
             kinds.append(augment.SegmentKind[name.upper()])
         except KeyError:
@@ -114,12 +120,12 @@ def _parse_mode(value: str) -> str:
 
 
 # Every stage option, once: the parser of its string value and its default
-# string (None: required). The stage and pipeline flags, the config file keys
-# and the manifest's config section are all built from this table.
+# string (None: required). The stage and pipeline flags and the manifest's
+# config section are both built from this table.
 OPTIONS: dict[str, tuple[Callable[[str], object], str | None]] = {
     "src": (partial(_parse_path, key="src"), None),
     "tgt": (partial(_parse_path, key="tgt"), None),
-    "out": (str, None),
+    "out": (_parse_out, None),
     "iterations": (partial(_parse_int, key="iterations", minimum=1), "5"),
     "merges": (partial(_parse_int, key="merges", minimum=0), "500"),
     "segments": (_parse_segments, "lex,ali,tgt"),
@@ -142,53 +148,18 @@ STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
-def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse "key = value" lines, one option name of OPTIONS per line.
-
-    '#' always starts a comment, so a value cannot contain '#'. Blank lines
-    are skipped; an unknown, repeated or empty key is an error.
-    """
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(corpus.read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key = key.strip()
-        value = value.strip()
-        if key not in OPTIONS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
-        if not value:
-            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        values[key] = value
-    return values
-
-
-def resolve(
-    args: argparse.Namespace, names: Iterable[str], file_values: Mapping[str, str]
-) -> argparse.Namespace:
-    """Parse each named option from its flag, else the config file, else
-    its default."""
+def resolve(args: argparse.Namespace, names: Iterable[str]) -> argparse.Namespace:
+    """Parse each named option from its flag, else its default."""
     resolved = argparse.Namespace()
     for name in names:
         parse, default = OPTIONS[name]
         value = getattr(args, name, None)
         if value is None:
-            value = file_values.get(name, default)
+            value = default
         if value is None:
             raise ConfigError(f"missing required option {name!r}")
         setattr(resolved, name, parse(value))
     return resolved
-
-
-def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Resolve every option for the pipeline, reading --config if given."""
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    return resolve(args, OPTIONS, file_values)
 
 
 # ---------------------------------------------------------------- stages
@@ -407,7 +378,7 @@ def _run_stage(command: str, config: argparse.Namespace, out: Path) -> None:
 
 
 def cmd_stage(args: argparse.Namespace) -> int:
-    config = resolve(args, STAGES[args.command][1], {})
+    config = resolve(args, STAGES[args.command][1])
     with _claimed(config.out) as out:
         _run_stage(args.command, config, out)
     return 0
@@ -468,7 +439,7 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+    config = resolve(args, OPTIONS)
     with _claimed(config.out) as out:
         for command in STAGES:
             try:
@@ -525,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ref", required=True)
 
     sub = add("pipeline", cmd_pipeline, "run every stage and write a manifest")
-    sub.add_argument("--config", help="file of 'key = value' lines; flags win")
     add_options(sub, OPTIONS)
 
     return parser

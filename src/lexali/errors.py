@@ -33,7 +33,8 @@ class ScoringError(LexaliError):
 
 
 class ConfigError(LexaliError):
-    """Unusable configuration file or option value."""
+    """A missing or unusable option value, or an output directory that
+    cannot be created."""
 
 
 class PipelineError(LexaliError):

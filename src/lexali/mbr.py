@@ -128,15 +128,8 @@ _UTILITIES: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def _scorer(kind: str) -> tuple[Callable, Callable]:
-    try:
-        return _UTILITIES[kind]
-    except KeyError:
-        raise ScoringError(f"unknown utility: {kind!r}") from None
-
-
 def utility(hyp: Sentence, ref: Sentence, kind: UtilityKind) -> float:
-    profile, pair = _scorer(kind)
+    profile, pair = _UTILITIES[kind]
     return pair(profile(hyp), profile(ref))[0]
 
 
@@ -146,7 +139,7 @@ def expected_utilities(
     """Average utility of each candidate against the whole pool, self included."""
     if not pool:
         raise ScoringError("candidate pool is empty")
-    profile, pair = _scorer(kind)
+    profile, pair = _UTILITIES[kind]
     # pools are tiny and often repetitive: score distinct candidates only
     ids: dict[Sentence, int] = {}
     pool_ids = [ids.setdefault(tuple(candidate), len(ids)) for candidate in pool]

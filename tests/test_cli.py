@@ -1,11 +1,10 @@
-"""Command line behavior: config handling, stages, determinism, errors."""
+"""Command line behavior: option handling, stages, determinism, errors."""
 
 import argparse
 import hashlib
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,8 +12,6 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from lexali import __version__, augment, cli, corpus, model1
 from lexali.errors import ConfigError, LexaliError
@@ -153,76 +150,33 @@ def toy_args(tmp_path):
 
 
 class TestConfig:
-    def test_file_parsing(self, tmp_path):
-        config = tmp_path / "run.conf"
-        config.write_text(
-            "# pipeline settings\n"
-            "iterations = 3\n"
-            "merges = 20   # inline comment\n"
-            "mode = simple\n",
-            encoding="utf-8",
-        )
-        values = cli.read_config_file(config)
-        assert values == {"iterations": "3", "merges": "20", "mode": "simple"}
-
-    def test_unknown_key_rejected(self, tmp_path):
-        config = tmp_path / "run.conf"
-        # utility and seed were pipeline keys once; they are no longer read
-        for key in ("sneed", "utility", "seed"):
-            config.write_text(f"iterations = 3\n{key} = 1\n", encoding="utf-8")
-            with pytest.raises(ConfigError, match=rf"run\.conf:2: unknown key '{key}'"):
-                cli.read_config_file(config)
-
-    def test_repeated_key_rejected(self, tmp_path):
-        config = tmp_path / "run.conf"
-        config.write_text("iterations = 3\n\niterations = 4\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"run\.conf:3: key 'iterations' given twice"):
-            cli.read_config_file(config)
-
-    def test_missing_equals_rejected(self, tmp_path):
-        config = tmp_path / "run.conf"
-        config.write_text("iterations 3\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="key = value"):
-            cli.read_config_file(config)
-
-    def test_flags_override_config(self, tmp_path):
-        config = tmp_path / "run.conf"
-        config.write_text(
-            f"src = {data_path('toy.src')}\n"
-            f"tgt = {data_path('toy.tgt')}\n"
-            f"out = {tmp_path / 'a'}\n"
-            "iterations = 2\n",
-            encoding="utf-8",
-        )
-        args = argparse.Namespace(config=str(config), iterations="7")
-        resolved = cli.resolve_config(args)
-        assert resolved.iterations == 7
-        assert resolved.src == data_path("toy.src")
-
     def test_defaults(self, tmp_path):
         args = argparse.Namespace(
             src=data_path("toy.src"),
             tgt=data_path("toy.tgt"),
             out=str(tmp_path),
         )
-        resolved = cli.resolve_config(args)
+        resolved = cli.resolve(args, cli.OPTIONS)
         assert resolved.iterations == 5
         assert resolved.merges == 500
         assert resolved.mode == "full"
         assert [k.name.lower() for k in resolved.segments] == ["lex", "ali", "tgt"]
+        assert resolved.vocab_threshold == 1
 
-    def test_missing_required(self):
-        with pytest.raises(ConfigError, match="missing required"):
-            cli.resolve_config(argparse.Namespace(src=None))
+    def test_missing_required(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["align", "--tgt", data_path("toy.tgt"), "--out", out]) == 1
+        assert capsys.readouterr().err == "error: missing required option 'src'\n"
+        assert not out.exists()
 
-    def test_nonexistent_corpus_path(self, tmp_path):
-        args = argparse.Namespace(
-            src=str(tmp_path / "none.txt"),
-            tgt=data_path("toy.tgt"),
-            out=str(tmp_path),
-        )
-        with pytest.raises(ConfigError, match="does not exist"):
-            cli.resolve_config(args)
+    def test_config_flag_is_a_usage_error(self, tmp_path, toy_args, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("iterations = 3\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            run(["pipeline", *toy_args, "--config", config])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: --config {config}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "alias,kind",
@@ -255,44 +209,6 @@ class TestConfig:
             cli._parse_int("0", "iterations", 1)
 
 
-# a config value: no "#", which starts a comment, and no line break
-CONFIG_VALUE = st.text(
-    st.characters(blacklist_characters="#\n", blacklist_categories=("Cs",)), max_size=8
-).map(str.strip).filter(bool)
-# a line read_config_file must reject wherever it stands
-BAD_CONFIG_LINE = st.one_of(
-    st.text("abc xyz\t\r", max_size=8).filter(str.strip),
-    st.text("abcxyz_", max_size=8).filter(lambda key: key not in cli.OPTIONS).map(
-        lambda key: f"{key} = 1"
-    ),
-    st.sampled_from(list(cli.OPTIONS)).map(lambda key: f"{key} =\r"),
-)
-
-
-@given(
-    values=st.dictionaries(st.sampled_from(list(cli.OPTIONS)), CONFIG_VALUE),
-    line_index=st.integers(0, 10),
-    bad_line=BAD_CONFIG_LINE,
-)
-def test_config_file_round_trip_and_bad_line(tmp_path_factory, values, line_index, bad_line):
-    path = tmp_path_factory.mktemp("config") / "run.conf"
-    lines = ["# settings", "", *(f"{key} = {value}" for key, value in values.items())]
-    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
-    assert cli.read_config_file(path) == values
-    index = line_index % (len(lines) + 1)
-    lines.insert(index, bad_line)
-    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
-    with pytest.raises(ConfigError, match=re.escape(f"{path}:{index + 1}: ")):
-        cli.read_config_file(path)
-
-
-def test_config_file_invalid_utf8_exits_cleanly(tmp_path, capsys):
-    config = tmp_path / "run.conf"
-    config.write_bytes(b"iterations = 3\n\xff = 1\n")
-    assert run(["pipeline", "--config", config]) == 1
-    assert capsys.readouterr().err == f"error: {config}: invalid UTF-8 at byte offset 15\n"
-
-
 # one bad value per option: the stage subcommand and the pipeline must fail
 # with the same exit code and the same message, before creating --out
 BOTH_SIDES = ["--src", data_path("toy.src"), "--tgt", data_path("toy.tgt")]
@@ -308,12 +224,14 @@ BAD_VALUES = [
      "iterations must be an integer, got '\uff15'"),
     (["align", *BOTH_SIDES], "--iterations", "1_0",
      "iterations must be an integer, got '1_0'"),
+    (["align", *BOTH_SIDES], "--out", "", "out must not be empty"),
     (["bpe-learn", *BOTH_SIDES], "--merges", "-1", "merges must be >= 0, got -1"),
     (["bpe-apply", *BOTH_SIDES], "--vocab-threshold", "0",
      "vocab_threshold must be >= 1, got 0"),
     (["augment"], "--mode", "x", "mode must be 'simple' or 'full', got 'x'"),
     (["augment"], "--segments", "lex", "segments must include tgt"),
     (["augment"], "--segments", "lex,xyz", "unknown segment kind 'xyz'"),
+    (["augment"], "--segments", "lex,,tgt", "unknown segment kind ''"),
     (["augment"], "--segments", "lex,lex,tgt", "duplicate segment kind in 'lex,lex,tgt'"),
 ]
 
@@ -381,25 +299,18 @@ class TestPipeline:
         pinned = MINI_AUGMENTED[flags[1]]
         assert {name: artifacts[name] for name in pinned} == pinned
 
-    def test_config_file_equals_flags(self, tmp_path, toy_args):
+    def test_flags_recorded_in_manifest(self, tmp_path, toy_args):
         settings = {"iterations": "3", "merges": "20", "segments": "tgt,lex",
                     "mode": "simple", "vocab_threshold": "2"}
-        out = tmp_path / "run"
-        config = tmp_path / "run.conf"
-        config.write_text(
-            f"src = {data_path('toy.src')}\ntgt = {data_path('toy.tgt')}\n"
-            f"out = {out}\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()),
-            encoding="utf-8",
-        )
-        assert run(["pipeline", "--config", config]) == 0
-        names = [*cli.PIPELINE_ARTIFACTS, cli.RUN_MANIFEST]
-        from_file = {name: (out / name).read_bytes() for name in names}
         flags = [a for k, v in settings.items() for a in ("--" + k.replace("_", "-"), v)]
         assert run(["pipeline", *toy_args, *flags]) == 0
-        assert {name: (out / name).read_bytes() for name in names} == from_file
-        config_section = json.loads(from_file[cli.RUN_MANIFEST])["config"]
-        assert config_section == {"src": data_path("toy.src"), "tgt": data_path("toy.tgt"),
-                                  "out": str(out), **settings}
+        out = tmp_path / "run"
+        manifest = json.loads((out / cli.RUN_MANIFEST).read_text(encoding="utf-8"))
+        config = {"src": data_path("toy.src"), "tgt": data_path("toy.tgt"),
+                  "out": str(out), **settings}
+        assert manifest["config"] == config
+        canonical = "\n".join(f"{k} = {v}" for k, v in sorted(config.items()))
+        assert manifest["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
     def test_pipeline_equals_chained_subcommands(self, tmp_path):
         src = data_path("toy.src")
@@ -954,6 +865,14 @@ def test_missing_input_file_exits_cleanly(tmp_path, capsys):
         "--tgt", tmp_path / "none.tgt", "--out", tmp_path,
     ]) == 1
     assert "src path does not exist" in capsys.readouterr().err
+
+
+def test_invalid_utf8_input_exits_cleanly(tmp_path, capsys):
+    src = tmp_path / "bad.src"
+    src.write_bytes(b"das haus\n\xffx\n")
+    assert run(["align", "--src", src, "--tgt", data_path("toy.tgt"),
+                "--out", tmp_path / "run"]) == 1
+    assert capsys.readouterr().err == f"error: {src}: invalid UTF-8 at byte offset 9\n"
 
 
 def traced_peak(function, *args, **kwargs):

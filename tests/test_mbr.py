@@ -124,10 +124,6 @@ class TestUtilities:
                 ORACLES[kind](hyp, ref), abs=1e-9
             )
 
-    def test_unknown_kind(self):
-        with pytest.raises(ScoringError):
-            mbr.utility(("a",), ("a",), "rouge")
-
 
 def select(pool, kind):
     """The consensus pick as ``lexali mbr`` makes it: index and tokens."""
