@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Literal
 
 from .corpus import Sentence, replacing
-from .errors import MarkerError
+from .errors import LexaliError
 
 Mode = Literal["simple", "full"]
 Lines = tuple[str, str, str]
@@ -130,7 +130,7 @@ def extract_segment(
     marker = kind.marker
     count = output.count(marker)
     if count > 1:
-        raise MarkerError(f"marker {marker} appears {count} times in the output")
+        raise LexaliError(f"marker {marker} appears {count} times in the output")
     if not count:
         return None
     start = output.index(marker) + 1

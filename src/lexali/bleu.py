@@ -22,7 +22,7 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
 from .corpus import Sentence
-from .errors import ScoringError
+from .errors import LexaliError
 
 MAX_ORDER = 4
 
@@ -103,18 +103,14 @@ def clipped_matches(
 def corpus_bleu(
     hypotheses: Sequence[Sentence], references: Sequence[Sentence]
 ) -> BleuReport:
-    if len(hypotheses) != len(references):
-        raise ScoringError(
-            f"{len(hypotheses)} hypotheses for {len(references)} references"
-        )
     if not hypotheses:
-        raise ScoringError("cannot score an empty corpus")
+        raise LexaliError("cannot score an empty corpus")
 
     matched = [0] * MAX_ORDER
     totals = [0] * MAX_ORDER
     hyp_length = 0
     ref_length = 0
-    for hyp, ref in zip(hypotheses, references):
+    for hyp, ref in zip(hypotheses, references, strict=True):
         hyp_length += len(hyp)
         ref_length += len(ref)
         pair_matches = clipped_matches(

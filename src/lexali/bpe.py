@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Sentence, read_lines, write_lines
-from .errors import SegmentationError
+from .errors import LexaliError
 
 CONTINUATION_MARKER = "@@"
 WORD_END = "</w>"
@@ -55,7 +55,7 @@ class MergeTable:
     def __post_init__(self) -> None:
         self.ranks = {pair: rank for rank, pair in enumerate(self.merges)}
         if len(self.ranks) != len(self.merges):
-            raise SegmentationError("merge table contains duplicate pairs")
+            raise LexaliError("merge table contains duplicate pairs")
 
     def __len__(self) -> int:
         return len(self.merges)
@@ -243,7 +243,7 @@ def undo_bpe(sentence: Sentence) -> Sentence:
     """Rejoin continuation-marked pieces into words.
 
     A piece carrying the marker must be followed by another piece; a
-    trailing marked piece raises SegmentationError.
+    trailing marked piece raises LexaliError.
     """
     words: list[str] = []
     buffer = ""
@@ -254,7 +254,7 @@ def undo_bpe(sentence: Sentence) -> Sentence:
             words.append(buffer + token)
             buffer = ""
     if buffer:
-        raise SegmentationError(
+        raise LexaliError(
             "segmentation ends with a continuation piece and cannot be rejoined"
         )
     return tuple(words)
@@ -271,20 +271,20 @@ def read_merges(path: str | Path) -> MergeTable:
     word holds one, and marks another tool's file (subword-nmt's '</w>')."""
     lines = read_lines(path)
     if lines[:1] != [_VERSION_LINE]:
-        raise SegmentationError(f"{path}:1: expected {_VERSION_LINE!r}")
+        raise LexaliError(f"{path}:1: expected {_VERSION_LINE!r}")
     merges: dict[Pair, None] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(" ")
         if len(parts) != 2:
-            raise SegmentationError(f"{path}:{lineno}: expected 'left right'")
+            raise LexaliError(f"{path}:{lineno}: expected 'left right'")
         pair = (parts[0], parts[1])
         if not all(pair):
-            raise SegmentationError(f"{path}:{lineno}: empty symbol in {line!r}")
+            raise LexaliError(f"{path}:{lineno}: empty symbol in {line!r}")
         if parts != line.split():
-            raise SegmentationError(f"{path}:{lineno}: whitespace in a symbol in {line!r}")
+            raise LexaliError(f"{path}:{lineno}: whitespace in a symbol in {line!r}")
         if "<" in line or ">" in line:
-            raise SegmentationError(f"{path}:{lineno}: reserved angle bracket in {line!r}")
+            raise LexaliError(f"{path}:{lineno}: reserved angle bracket in {line!r}")
         if pair in merges:
-            raise SegmentationError(f"{path}:{lineno}: merge {line!r} listed twice")
+            raise LexaliError(f"{path}:{lineno}: merge {line!r} listed twice")
         merges[pair] = None
     return MergeTable(tuple(merges))

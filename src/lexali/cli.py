@@ -23,7 +23,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__, augment, bleu, bpe, corpus, mbr, model1, sequences, symmetrize
-from .errors import ConfigError, LexaliError, MarkerError, PipelineError
+from .errors import LexaliError
 
 TABLE_T2S = "model1.tgt_to_src.txt"
 TABLE_S2T = "model1.src_to_tgt.txt"
@@ -76,26 +76,26 @@ def _parse_int(value: str, key: str, minimum: int) -> int:
     # ASCII digits only, as every file reader takes them: int() would also
     # read "1_0" and fullwidth digits
     if not (value.isascii() and value.removeprefix("-").isdigit()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+        raise LexaliError(f"{key} must be an integer, got {value!r}")
     parsed = int(value)
     if parsed < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {parsed}")
+        raise LexaliError(f"{key} must be >= {minimum}, got {parsed}")
     return parsed
 
 
 def _parse_path(value: str, key: str) -> str:
     path = Path(value)
     if not path.exists():
-        raise ConfigError(f"{key} path does not exist: {value}")
+        raise LexaliError(f"{key} path does not exist: {value}")
     if not path.is_file():
-        raise ConfigError(f"{key} path is not a file: {value}")
+        raise LexaliError(f"{key} path is not a file: {value}")
     return value
 
 
 def _parse_out(value: str) -> str:
     # an empty path would name the current directory
     if not value:
-        raise ConfigError("out must not be empty")
+        raise LexaliError("out must not be empty")
     return value
 
 
@@ -105,17 +105,17 @@ def _parse_segments(value: str) -> tuple[augment.SegmentKind, ...]:
         try:
             kinds.append(augment.SegmentKind[name.upper()])
         except KeyError:
-            raise ConfigError(f"unknown segment kind {name!r}") from None
+            raise LexaliError(f"unknown segment kind {name!r}") from None
     if len(set(kinds)) != len(kinds):
-        raise ConfigError(f"duplicate segment kind in {value!r}")
+        raise LexaliError(f"duplicate segment kind in {value!r}")
     if augment.SegmentKind.TGT not in kinds:
-        raise ConfigError("segments must include tgt")
+        raise LexaliError("segments must include tgt")
     return tuple(kinds)
 
 
 def _parse_mode(value: str) -> str:
     if value not in ("simple", "full"):
-        raise ConfigError(f"mode must be 'simple' or 'full', got {value!r}")
+        raise LexaliError(f"mode must be 'simple' or 'full', got {value!r}")
     return value
 
 
@@ -157,7 +157,7 @@ def resolve(args: argparse.Namespace, names: Iterable[str]) -> argparse.Namespac
         if value is None:
             value = default
         if value is None:
-            raise ConfigError(f"missing required option {name!r}")
+            raise LexaliError(f"missing required option {name!r}")
         setattr(resolved, name, parse(value))
     return resolved
 
@@ -333,7 +333,7 @@ def _claimed(out: str) -> Iterator[Path]:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(
+        raise LexaliError(
             f"cannot create output directory {path}: {exc.strerror or exc}"
         ) from None
     lock = path / LOCK_FILE
@@ -344,20 +344,20 @@ def _claimed(out: str) -> Iterator[Path]:
             owner = lock.read_bytes().decode("ascii").strip()
         except (OSError, UnicodeDecodeError):
             owner = ""
-        raise PipelineError(
+        raise LexaliError(
             "output directory is locked"
             + (f" by pid {owner}" if owner.isdigit() else "")
             + f"; remove {lock} if no other run is active"
         ) from None
     except OSError as exc:
-        raise PipelineError(f"cannot write {lock}: {exc.strerror or exc}") from None
+        raise LexaliError(f"cannot write {lock}: {exc.strerror or exc}") from None
     pid = f"{os.getpid()}\n".encode("ascii")
     try:
         try:
             os.write(fd, pid)
         except OSError as exc:
             os.unlink(lock)
-            raise PipelineError(f"cannot write {lock}: {exc.strerror or exc}") from None
+            raise LexaliError(f"cannot write {lock}: {exc.strerror or exc}") from None
         finally:
             os.close(fd)
         yield path
@@ -392,8 +392,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     for lineno, sentence in enumerate(outputs, start=1):
         try:
             segment = augment.extract_segment(sentence, kind)
-        except MarkerError as error:
-            raise MarkerError(f"{args.input}:{lineno}: {error}") from error
+        except LexaliError as error:
+            raise LexaliError(f"{args.input}:{lineno}: {error}") from error
         if segment is None:
             missing += 1
             segment = ()
@@ -409,7 +409,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_mbr(args: argparse.Namespace) -> int:
     if args.scores and os.path.realpath(args.scores) == os.path.realpath(args.output):
-        raise ConfigError(f"--scores and --output name the same file: {args.scores}")
+        raise LexaliError(f"--scores and --output name the same file: {args.scores}")
     kind = _UTILITY_ALIASES[args.utility]
     candidate_files = [corpus.read_sentences(path) for path in args.candidates]
     corpus.check_line_counts(*zip(args.candidates, candidate_files))
@@ -445,7 +445,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             try:
                 _run_stage(command, config, out)
             except LexaliError as exc:
-                raise PipelineError(f"stage {command} failed: {exc}") from exc
+                raise LexaliError(f"stage {command} failed: {exc}") from exc
         write_run_manifest(config, out)
     return 0
 

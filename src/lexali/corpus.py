@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
-from .errors import CorpusFormatError
+from .errors import LexaliError
 
 Sentence = tuple[str, ...]
 
@@ -45,11 +45,11 @@ def read_lines(path: str | Path) -> list[str]:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
+        raise LexaliError(f"cannot read {path}: {exc}") from exc
     try:
         lines = raw.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
-        raise CorpusFormatError(
+        raise LexaliError(
             f"{path}: invalid UTF-8 at byte offset {exc.start}"
         ) from exc
     # a trailing newline produces one empty trailing element, not a line
@@ -58,8 +58,8 @@ def read_lines(path: str | Path) -> list[str]:
     return lines
 
 
-def _cannot_write(path: str | Path, exc: OSError) -> CorpusFormatError:
-    return CorpusFormatError(f"cannot write {path}: {exc.strerror or exc}")
+def _cannot_write(path: str | Path, exc: OSError) -> LexaliError:
+    return LexaliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 @contextmanager
@@ -112,7 +112,7 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 def check_line_counts(*files: tuple[str | Path, Sized]) -> None:
     """Require the same number of lines in every (path, lines) pair."""
     if len({len(lines) for _, lines in files}) > 1:
-        raise CorpusFormatError(
+        raise LexaliError(
             "line counts disagree: "
             + ", ".join(f"{path}={len(lines)}" for path, lines in files)
         )
@@ -123,11 +123,11 @@ def _parse_line(
 ) -> Sentence:
     tokens = tuple(line.split())
     if not (tokens or empty_ok):
-        raise CorpusFormatError(f"{path}:{lineno}: empty line")
+        raise LexaliError(f"{path}:{lineno}: empty line")
     # one scan of the whole line; the tokens are searched only to name one
     if "<" in line or ">" in line:
         token = next(token for token in tokens if "<" in token or ">" in token)
-        raise CorpusFormatError(
+        raise LexaliError(
             f"{path}:{lineno}: token {token!r} contains a reserved angle bracket"
         )
     return tokens
@@ -156,7 +156,7 @@ def write_sentences(sentences: Iterable[Sentence], path: str | Path) -> None:
 def load_parallel(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     """Load two line-aligned corpus files.
 
-    Raises CorpusFormatError naming the offending file and line for encoding
+    Raises LexaliError naming the offending file and line for encoding
     problems, empty lines, reserved tokens, or a line-count mismatch.
     """
     src_lines = read_lines(src_path)
@@ -179,7 +179,7 @@ def count_words(sentences: Iterable[Sentence]) -> Counter[str]:
     for sentence in sentences:
         counts.update(sentence)
     if not counts:
-        raise CorpusFormatError("cannot build a vocabulary from an empty corpus")
+        raise LexaliError("cannot build a vocabulary from an empty corpus")
     return counts
 
 

@@ -1,43 +1,18 @@
-"""Exception hierarchy shared across the toolkit.
-
-Every error raised on purpose derives from LexaliError so the command line
-front end can turn any of them into a clean nonzero exit.
-"""
+"""The one error type of the toolkit."""
 
 
 class LexaliError(Exception):
-    """Base class for all toolkit errors."""
+    """An input, option or output lexali cannot use; the message says which.
 
-
-class CorpusFormatError(LexaliError):
-    """A line file that cannot be read, decoded or written, files whose
-    line counts disagree, or a corpus line that is empty or holds a
-    reserved token."""
-
-
-class SegmentationError(LexaliError):
-    """A merge file that cannot be read as a merge table, or a segmented
-    sequence that cannot be rejoined."""
-
-
-class AlignmentError(LexaliError):
-    """Structurally inconsistent alignment data (lengths, link ranges)."""
-
-
-class MarkerError(LexaliError):
-    """Ambiguous marker structure in decoded output."""
-
-
-class ScoringError(LexaliError):
-    """Invalid scoring input: empty candidate pool or mismatched corpora."""
-
-
-class ConfigError(LexaliError):
-    """A missing or unusable option value, or an output directory that
-    cannot be created."""
-
-
-class PipelineError(LexaliError):
-    """A pipeline stage failed, and the message names the stage; or the
-    LOCK of an output directory is held by another run or cannot be
-    written."""
+    Raised for a line file that cannot be read, decoded or written, files
+    whose line counts disagree, or a corpus line that is empty or holds a
+    reserved token; a merge file that is not a merge table, or a segmented
+    sequence that cannot be rejoined; alignment or lexicon data that is
+    inconsistent (lengths, link ranges, repeated links); a marker that occurs
+    more than once in a decoded output; a missing or unusable option value;
+    an output directory that cannot be created, or whose LOCK is held by
+    another run or cannot be written; and a pipeline stage that failed, named
+    in the message. Where the fault lies in a file, the message begins with
+    the file and, for a line, ``path:line:``. The command line front end
+    prints the message as one ``error:`` line on stderr and exits 1.
+    """

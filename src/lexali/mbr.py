@@ -46,7 +46,6 @@ from typing import Literal
 
 from .bleu import clipped_matches, ngram_counts
 from .corpus import Sentence
-from .errors import ScoringError
 
 UtilityKind = Literal["chrf", "sentence_bleu", "exact_match"]
 
@@ -137,8 +136,6 @@ def expected_utilities(
     pool: Sequence[Sentence], kind: UtilityKind
 ) -> list[float]:
     """Average utility of each candidate against the whole pool, self included."""
-    if not pool:
-        raise ScoringError("candidate pool is empty")
     profile, pair = _UTILITIES[kind]
     # pools are tiny and often repetitive: score distinct candidates only
     ids: dict[Sentence, int] = {}

@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Literal
 
 from .corpus import ParallelCorpus, Sentence, read_lines, write_lines
-from .errors import AlignmentError, CorpusFormatError
+from .errors import LexaliError
 
 Direction = Literal["tgt_to_src", "src_to_tgt"]
 
@@ -80,7 +80,7 @@ def train_model1(
     whose expected count is positive.
     """
     if not corpus.pairs:
-        raise CorpusFormatError("cannot train on an empty corpus")
+        raise LexaliError("cannot train on an empty corpus")
 
     # (conditioning sentence, emitted sentence) pairs
     pairs = corpus.pairs
@@ -248,7 +248,7 @@ def _read_pharaoh(
     """
     lines = read_lines(path)
     if len(lines) != len(lengths):
-        raise AlignmentError(
+        raise LexaliError(
             f"{path}: {len(lines)} lines for {len(lengths)} sentence pairs"
         )
     left, right = sides
@@ -257,16 +257,16 @@ def _read_pharaoh(
         for cell in line.split():
             i_text, sep, j_text = cell.partition("-")
             if not (sep and cell.isascii() and i_text.isdigit() and j_text.isdigit()):
-                raise AlignmentError(f"{path}:{lineno}: bad link {cell!r}")
+                raise LexaliError(f"{path}:{lineno}: bad link {cell!r}")
             i = int(i_text)
             j = int(j_text)
             if i >= i_bound:
-                raise AlignmentError(
+                raise LexaliError(
                     f"{path}:{lineno}: link {i} out of range for {left} "
                     f"length {i_bound}"
                 )
             if j >= j_bound:
-                raise AlignmentError(
+                raise LexaliError(
                     f"{path}:{lineno}: link to {right} position {j} out of "
                     f"range for {right} length {j_bound}"
                 )
@@ -285,7 +285,7 @@ def read_alignment_maps(
         links: list[int | None] = [None] * lengths[lineno - 1][1]
         for conditioning, emitted in cells:
             if links[emitted] is not None:
-                raise AlignmentError(
+                raise LexaliError(
                     f"{path}:{lineno}: emitted position {emitted} linked twice"
                 )
             links[emitted] = conditioning

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import ParallelCorpus, read_lines, write_lines
-from .errors import AlignmentError
+from .errors import LexaliError
 from .model1 import Links, _read_pharaoh
 
 Link = tuple[int, int]
@@ -87,11 +87,11 @@ def read_links(
         targets: set[int] = set()
         for i, j in cells:
             if i in links:
-                raise AlignmentError(
+                raise LexaliError(
                     f"{path}:{lineno}: source position {i} linked twice"
                 )
             if j in targets:
-                raise AlignmentError(
+                raise LexaliError(
                     f"{path}:{lineno}: target position {j} linked twice"
                 )
             links[i] = j
@@ -120,25 +120,25 @@ def read_lexicon(path: str | Path) -> BilingualLexicon:
     for lineno, line in enumerate(read_lines(path), start=1):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise AlignmentError(
+            raise LexaliError(
                 f"{path}:{lineno}: expected 'source<TAB>target<TAB>count'"
             )
         src_word, tgt_word, count_text = parts
         if not (src_word and tgt_word):
-            raise AlignmentError(f"{path}:{lineno}: empty source or target word")
+            raise LexaliError(f"{path}:{lineno}: empty source or target word")
         for side, word in (("source", src_word), ("target", tgt_word)):
             if word.split() != [word] or "<" in word or ">" in word:
-                raise AlignmentError(
+                raise LexaliError(
                     f"{path}:{lineno}: {side} word {word!r} holds whitespace "
                     "or an angle bracket"
                 )
         if not (count_text.isascii() and count_text.isdigit()):
-            raise AlignmentError(
+            raise LexaliError(
                 f"{path}:{lineno}: count {count_text!r} is not a "
                 "non-negative integer"
             )
         if src_word in entries:
-            raise AlignmentError(
+            raise LexaliError(
                 f"{path}:{lineno}: source word {src_word!r} listed twice"
             )
         entries[src_word] = (tgt_word, int(count_text))

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lexali import bpe
-from lexali.errors import SegmentationError
+from lexali.errors import LexaliError
 from oracles import bpe_apply_oracle, bpe_learn_oracle
 
 WORD = st.text(alphabet="abcde", min_size=1, max_size=10)
@@ -146,7 +146,7 @@ class TestApply:
         assert segment(sentence) == tuple(direct)
 
     def test_duplicate_merge_pair_rejected(self):
-        with pytest.raises(SegmentationError):
+        with pytest.raises(LexaliError, match="^merge table contains duplicate pairs$"):
             bpe.MergeTable((("a", "b"), ("a", "b")))
 
 
@@ -155,7 +155,7 @@ class TestUndo:
         assert bpe.undo_bpe(("low@@", "er", "low")) == ("lower", "low")
 
     def test_trailing_continuation_raises(self):
-        with pytest.raises(SegmentationError):
+        with pytest.raises(LexaliError, match="^segmentation ends with a continuation piece"):
             bpe.undo_bpe(("low@@",))
 
     def test_empty(self):
@@ -207,7 +207,7 @@ HEADER = "#version: lexali-bpe 1"
 def test_merge_file_bad_line(tmp_path):
     path = tmp_path / "merges.txt"
     path.write_text(f"{HEADER}\na b c\n", encoding="utf-8")
-    with pytest.raises(SegmentationError, match=r"merges\.txt:2: expected 'left right'"):
+    with pytest.raises(LexaliError, match=r"merges\.txt:2: expected 'left right'"):
         bpe.read_merges(path)
 
 
@@ -228,7 +228,7 @@ def test_merge_file_bad_line(tmp_path):
 def test_merge_file_line_rejected(tmp_path, text, message):
     path = tmp_path / "merges.txt"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(SegmentationError, match=message):
+    with pytest.raises(LexaliError, match=message):
         bpe.read_merges(path)
 
 
@@ -267,5 +267,5 @@ def test_merge_file_round_trip_and_bad_line(tmp_path_factory, merges, line_index
     index = 1 + line_index % len(lines)
     lines.insert(index, bad_line)
     path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
-    with pytest.raises(SegmentationError, match=re.escape(f"{path}:{index + 1}: ")):
+    with pytest.raises(LexaliError, match=re.escape(f"{path}:{index + 1}: ")):
         bpe.read_merges(path)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from lexali import __version__, augment, cli, corpus, model1
-from lexali.errors import ConfigError, LexaliError
+from lexali.errors import LexaliError
 
 DATA = resources.files("lexali") / "data"
 
@@ -199,13 +199,13 @@ class TestConfig:
             err = capsys.readouterr().err
             assert err.startswith("usage: lexali mbr ")
             assert f"argument --utility: invalid choice: '{name}'" in err
-        with pytest.raises(ConfigError):
+        with pytest.raises(LexaliError, match="^segments must include tgt$"):
             cli._parse_segments("lex,ali")
-        with pytest.raises(ConfigError):
+        with pytest.raises(LexaliError, match="^duplicate segment kind in 'lex,lex,tgt'$"):
             cli._parse_segments("lex,lex,tgt")
-        with pytest.raises(ConfigError):
+        with pytest.raises(LexaliError, match="^iterations must be an integer, got 'five'$"):
             cli._parse_int("five", "iterations", 1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(LexaliError, match="^iterations must be >= 1, got 0$"):
             cli._parse_int("0", "iterations", 1)
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexali.bleu import BleuReport, clipped_matches, corpus_bleu, ngram_counts
-from lexali.errors import ScoringError
+from lexali.errors import LexaliError
 from oracles import _clipped, _slice_counts, corpus_bleu_loop_oracle, corpus_bleu_oracle
 
 LONG = [
@@ -69,10 +69,8 @@ def test_empty_hypothesis_corpus_scores_zero():
     assert report.hyp_length == 0
 
 
-def test_structural_errors():
-    with pytest.raises(ScoringError):
-        corpus_bleu([("a",)], [("a",), ("b",)])
-    with pytest.raises(ScoringError):
+def test_empty_corpus_rejected():
+    with pytest.raises(LexaliError, match="^cannot score an empty corpus$"):
         corpus_bleu([], [])
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lexali import model1
 from lexali.corpus import ParallelCorpus
-from lexali.errors import AlignmentError, CorpusFormatError
+from lexali.errors import LexaliError
 from oracles import (
     em_loop_oracle,
     em_oracle,
@@ -150,7 +150,7 @@ class TestTraining:
         assert first.probs == second.probs
 
     def test_preconditions(self):
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(LexaliError, match="^cannot train on an empty corpus$"):
             model1.train_model1(ParallelCorpus(pairs=()), "tgt_to_src", 1)
 
 
@@ -368,25 +368,26 @@ class TestFiles:
         path = tmp_path / "align.txt"
         path.write_text("1-0 0-9\n", encoding="utf-8")
         pattern = rf"{re.escape(str(path))}:1: link to emitted position 9"
-        with pytest.raises(AlignmentError, match=pattern):
+        with pytest.raises(LexaliError, match=pattern):
             model1.read_alignment_maps(path, [(2, 3)])
 
     def test_repeated_emitted_position_rejected(self, tmp_path):
         path = tmp_path / "align.txt"
         path.write_text("0-0\n0-1 2-1\n", encoding="utf-8")
         pattern = rf"{re.escape(str(path))}:2: .*position 1"
-        with pytest.raises(AlignmentError, match=pattern):
+        with pytest.raises(LexaliError, match=pattern):
             model1.read_alignment_maps(path, [(1, 1), (3, 2)])
 
     def test_bad_link_cell(self, tmp_path):
         path = tmp_path / "align.txt"
         path.write_text("1-x\n", encoding="utf-8")
-        with pytest.raises(AlignmentError):
+        message = f"{path}:1: bad link '1-x'"
+        with pytest.raises(LexaliError, match=f"^{re.escape(message)}$"):
             model1.read_alignment_maps(path, [(2, 2)])
 
     def test_out_of_range_link_rejected(self, tmp_path):
         path = tmp_path / "align.txt"
         path.write_text("5-0\n", encoding="utf-8")
         message = f"{path}:1: link 5 out of range for conditioning length 2"
-        with pytest.raises(AlignmentError, match=re.escape(message)):
+        with pytest.raises(LexaliError, match=re.escape(message)):
             model1.read_alignment_maps(path, [(2, 1)])

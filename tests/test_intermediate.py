@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lexali.errors import AlignmentError
+from lexali.errors import LexaliError
 from lexali.model1 import read_alignment_maps
 from lexali.sequences import make_ali, make_lex
 from lexali.symmetrize import BilingualLexicon
@@ -73,5 +73,5 @@ def test_ali_link_range_checked_against_lex(tmp_path):
     lex = ("a", "b")
     path = tmp_path / "align.txt"
     path.write_text("3-0\n", encoding="utf-8")
-    with pytest.raises(AlignmentError, match="link 3 out of range"):
+    with pytest.raises(LexaliError, match="link 3 out of range"):
         read_alignment_maps(path, [(len(lex), 1)])

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexali import mbr
-from lexali.errors import ScoringError
 from oracles import (
     chrf_loop_oracle,
     chrf_oracle,
@@ -145,10 +144,6 @@ class TestSelection:
         pool = [("a",), ("b",)]
         index, _ = select(pool, "exact_match")
         assert index == 0
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ScoringError):
-            mbr.expected_utilities([], "chrf")
 
     def test_scores_bounded_and_winner_at_least_one_over_n(self):
         rng = random.Random(57)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lexali import model1, symmetrize
 from lexali.corpus import ParallelCorpus
-from lexali.errors import AlignmentError
+from lexali.errors import LexaliError
 from oracles import intersect_oracle, lexicon_oracle
 
 
@@ -123,7 +123,7 @@ class TestLexicon:
         path = tmp_path / "links.txt"
         path.write_text("0-0 1-1\n", encoding="utf-8")
         message = f"{path}: 1 lines for 3 sentence pairs"
-        with pytest.raises(AlignmentError, match=re.escape(message)):
+        with pytest.raises(LexaliError, match=re.escape(message)):
             symmetrize.read_links(path, self.lengths())
 
     def test_out_of_range_positions_rejected(self, tmp_path):
@@ -133,7 +133,7 @@ class TestLexicon:
             ("0-9", "link to target position 9 out of range for target length 1"),
         ):
             path.write_text(f"0-0 1-1\n0-0\n{line}\n", encoding="utf-8")
-            with pytest.raises(AlignmentError, match=re.escape(f"{path}:3: {message}")):
+            with pytest.raises(LexaliError, match=re.escape(f"{path}:3: {message}")):
                 symmetrize.read_links(path, self.lengths())
 
 
@@ -155,7 +155,7 @@ BAD_CELL = st.text(alphabet="0123456789-²１٣x+", min_size=1, max_size=6).filt
 def assert_rejected(read, path, lines, message):
     """Write the lines as a file; reading it must fail with the message."""
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    with pytest.raises(AlignmentError, match=re.escape(message)):
+    with pytest.raises(LexaliError, match=re.escape(message)):
         read(path)
 
 
@@ -260,7 +260,7 @@ def test_links_file_round_trip_and_bad_cell(
 def test_links_file_repeated_position_rejected(tmp_path, line, position):
     path = tmp_path / "links.txt"
     path.write_text(f"0-0\n{line}\n", encoding="utf-8")
-    with pytest.raises(AlignmentError, match=rf"links\.txt:2: {position} linked twice"):
+    with pytest.raises(LexaliError, match=rf"links\.txt:2: {position} linked twice"):
         symmetrize.read_links(path, [(1, 1), (2, 2)])
 
 
@@ -319,7 +319,7 @@ def test_lexicon_file_round_trip_and_bad_line(
     index = line_index % (len(lines) + 1)
     lines.insert(index, bad_line)
     path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
-    with pytest.raises(AlignmentError, match=re.escape(f"{path}:{index + 1}: ")):
+    with pytest.raises(LexaliError, match=re.escape(f"{path}:{index + 1}: ")):
         symmetrize.read_lexicon(path)
 
 
@@ -335,7 +335,7 @@ def test_lexicon_file_round_trip_and_bad_line(
 def test_lexicon_file_bad_line_rejected(tmp_path, line, message):
     path = tmp_path / "lexicon.tsv"
     path.write_text(f"haus\thouse\t2\n{line}\n", encoding="utf-8")
-    with pytest.raises(AlignmentError, match=rf"lexicon\.tsv:2: {message}"):
+    with pytest.raises(LexaliError, match=rf"lexicon\.tsv:2: {message}"):
         symmetrize.read_lexicon(path)
 
 
@@ -357,5 +357,5 @@ def test_lexicon_word_that_is_not_a_token_rejected(tmp_path, line, message):
     path = tmp_path / "lexicon.tsv"
     path.write_bytes(f"haus\thouse\t2\n{line}\n".encode("utf-8"))
     pattern = rf"lexicon\.tsv:2: {re.escape(message)} holds whitespace or an angle bracket"
-    with pytest.raises(AlignmentError, match=pattern):
+    with pytest.raises(LexaliError, match=pattern):
         symmetrize.read_lexicon(path)

@@ -14,6 +14,11 @@ prints, per workload and end-to-end metric, the median and quartiles
 (inclusive method) of both sides, the median change and the pairs the
 working tree won, tied and lost, and writes every run's final JSON line with
 its seed, seconds and side to BENCH_<N>.json at the repository root.
+
+The record names the working tree as HEAD, "with uncommitted changes" when
+src/ differs from HEAD before the first run. If src/ is not the same after
+the last run, the measured code changed under the runs: the program exits 1
+and writes no BENCH_<N>.json.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ SIDES = ("parent", "change")
 
 def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def source_state() -> bytes:
+    """The status and uncommitted diff of src/, the code the runs measure."""
+    return _git("status", "--porcelain", "--", "src") + _git("diff", "HEAD", "--", "src")
 
 
 def export(rev: str, directory: Path) -> None:
@@ -128,6 +138,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2")
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     parent_sha = _git("rev-parse", "--verify", args.parent + "^{commit}").decode().strip()
+    head = _git("rev-parse", "HEAD").decode().strip()
+    source = source_state()
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -146,11 +158,12 @@ def main(argv: list[str] | None = None) -> int:
 
     summary = summarize(runs, benchmark["end_to_end"])
     print(report(summary))
-    head = _git("rev-parse", "HEAD").decode().strip()
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no").strip())
+    if source_state() != source:
+        raise SystemExit(f"error: src/ changed during the runs; BENCH_{args.number}.json "
+                         "not written")
     record = {
         "parent": parent_sha,
-        "change": head + (" with uncommitted changes" if dirty else ""),
+        "change": head + (" with uncommitted changes" if source else ""),
         "python": platform.python_version(),
         "pairs": args.pairs,
         "summary": summary,
