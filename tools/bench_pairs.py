@@ -5,7 +5,8 @@ Usage: python3 tools/bench_pairs.py --parent REV --number N
            [--workload NAME ...] [--pairs 10] [--seconds 30] [--seed 1]
 
 The parent revision is exported with ``git archive`` into a temporary
-directory, which is always removed at the end. For every workload (default:
+directory, which is always removed at the end; both sides read and write
+bytecode only under it (PYTHONPYCACHEPREFIX). For every workload (default:
 each one BENCHMARK.json lists) and every pair i, both sides run
 ``perfbench/run.py --trace 0`` on seed ``--seed + i``, each from its own
 checkout; the parent goes first in even pairs and the working tree in odd
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -143,8 +145,12 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        checkouts = {"parent": Path(tmp), "change": ROOT}
+        checkouts = {"parent": Path(tmp) / "parent", "change": ROOT}
+        checkouts["parent"].mkdir()
         export(parent_sha, checkouts["parent"])
+        # both sides keep their bytecode here, so a __pycache__ in the working
+        # tree does not spare only the change the compile that setup_s times
+        os.environ["PYTHONPYCACHEPREFIX"] = str(Path(tmp) / "pycache")
         for workload in workloads:
             for i in range(args.pairs):
                 seed = args.seed + i
