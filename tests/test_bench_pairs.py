@@ -43,9 +43,10 @@ def test_wins_for_higher_is_better():
     runs = [
         run("w", 0, "parent", 1.0, links=10.0), run("w", 0, "change", 1.0, links=12.0),
         run("w", 1, "change", 1.0, links=9.0), run("w", 1, "parent", 1.0, links=10.0),
+        run("w", 2, "parent", 1.0, links=10.0), run("w", 2, "change", 1.0, links=11.0),
     ]
     row = bench_pairs.summarize(runs, METRICS)["w"]["metrics"]["links"]
-    assert (row["wins"], row["ties"], row["losses"]) == (1, 0, 1)
+    assert (row["wins"], row["ties"], row["losses"]) == (2, 0, 1)
 
 
 def test_inclusive_quartiles_and_median_change():

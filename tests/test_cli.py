@@ -199,6 +199,11 @@ class TestConfig:
             err = capsys.readouterr().err
             assert err.startswith("usage: lexali mbr ")
             assert f"argument --utility: invalid choice: '{name}'" in err
+        # so every candidate pool mbr scores holds at least one candidate
+        with pytest.raises(SystemExit) as exit_info:
+            cli.build_parser().parse_args(["mbr", "--output", "o.txt"])
+        assert exit_info.value.code == 2
+        assert "the following arguments are required: candidates" in capsys.readouterr().err
         with pytest.raises(LexaliError, match="^segments must include tgt$"):
             cli._parse_segments("lex,ali")
         with pytest.raises(LexaliError, match="^duplicate segment kind in 'lex,lex,tgt'$"):
