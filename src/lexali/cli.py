@@ -8,6 +8,12 @@ default.
 Every command that writes into --out, the pipeline and each stage, holds a
 lock file there while it runs; the pipeline also records a manifest of
 artifact checksums.
+
+The argument parser is built on the first call of main and reused by every
+later call in the same process. It holds each subcommand's handler by name,
+and main looks the handler up in the module globals at call time, so the
+cached parser never pins a function object: a function set on this module
+after the first call is the one that runs.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__, augment, bleu, bpe, corpus, mbr, model1, sequences, symmetrize
@@ -384,7 +390,23 @@ def cmd_stage(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_outputs(inputs: Sequence[str], outputs: dict[str, str]) -> None:
+    """Refuse an output that names the same file as an input or an earlier
+    output, since writing it would destroy that file; called before anything
+    is read."""
+    read = {os.path.realpath(path) for path in inputs}
+    written: dict[str, str] = {}
+    for flag, path in outputs.items():
+        real = os.path.realpath(path)
+        if real in read:
+            raise LexaliError(f"{flag} names an input file: {path}")
+        if real in written:
+            raise LexaliError(f"{flag} and {written[real]} name the same file: {path}")
+        written[real] = flag
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
+    _check_outputs([args.input], {"--output": args.output})
     kind = augment.SegmentKind[args.kind.upper()]
     outputs = corpus.read_sentences(args.input)
     extracted: list[corpus.Sentence] = []
@@ -408,8 +430,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_mbr(args: argparse.Namespace) -> int:
-    if args.scores and os.path.realpath(args.scores) == os.path.realpath(args.output):
-        raise LexaliError(f"--scores and --output name the same file: {args.scores}")
+    outputs = {"--output": args.output}
+    if args.scores:
+        outputs["--scores"] = args.scores
+    _check_outputs(args.candidates, outputs)
     kind = _UTILITY_ALIASES[args.utility]
     candidate_files = [corpus.read_sentences(path) for path in args.candidates]
     corpus.check_line_counts(*zip(args.candidates, candidate_files))
@@ -453,6 +477,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexali",
@@ -463,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler: Callable, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler: str, help_text: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(handler=handler)
         return sub
@@ -478,34 +503,34 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     for command, (help_text, names) in STAGES.items():
-        add_options(add(command, cmd_stage, help_text), names)
+        add_options(add(command, "cmd_stage", help_text), names)
 
-    sub = add("extract", cmd_extract, "slice one segment out of decoded output")
+    sub = add("extract", "cmd_extract", "slice one segment out of decoded output")
     sub.add_argument("--input", required=True)
     sub.add_argument("--kind", required=True, choices=["lex", "ali", "tgt"])
     sub.add_argument("--output", required=True)
 
-    sub = add("mbr", cmd_mbr, "pick consensus translations from candidates")
+    sub = add("mbr", "cmd_mbr", "pick consensus translations from candidates")
     sub.add_argument("candidates", nargs="+")
     sub.add_argument("--utility", default="chrf", choices=_UTILITY_ALIASES)
     sub.add_argument("--output", required=True)
     sub.add_argument("--scores")
 
-    sub = add("bleu", cmd_bleu, "score hypotheses against references")
+    sub = add("bleu", "cmd_bleu", "score hypotheses against references")
     sub.add_argument("--hyp", required=True)
     sub.add_argument("--ref", required=True)
 
-    sub = add("pipeline", cmd_pipeline, "run every stage and write a manifest")
+    sub = add("pipeline", "cmd_pipeline", "run every stage and write a manifest")
     add_options(sub, OPTIONS)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # looked up by name, as _run_stage looks up the stages
+        return globals()[args.handler](args)
     except LexaliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,16 +26,26 @@ character n-grams of orders 1 to min(6, length) of the joined text, for
 sentence BLEU the token n-grams of orders 1 to 4, both from
 ``bleu.ngram_counts``: per order a ``set`` when no n-gram repeats, else a
 ``Counter``, with unigrams keyed by the item itself) and scores each
-unordered pair of distinct candidates once. The clipped overlap, a sum of
-min counts, is the same in both directions, so one overlap per order yields
-u(a, b) and u(b, a): a's chrF precision terms are b's recall terms, and
-sentence BLEU shares the matched counts while each side keeps its own
-totals and brevity. The floats are those of scoring every ordered pair on
-its own: each order's precision is one int-by-int division, the per-order
-terms are added left to right in a loop (the built-in ``sum`` compensates
-float sums on Python 3.12+, which would round differently there), and each
-pool row adds its utilities one by one in pool order, duplicates included,
-before dividing by the pool size.
+unordered pair of different distinct candidates once. The clipped overlap,
+a sum of min counts, is the same in both directions, so one overlap per
+order yields u(a, b) and u(b, a): a's chrF precision terms are b's recall
+terms, and sentence BLEU shares the matched counts while each side keeps
+its own totals and brevity. The floats are those of scoring every ordered
+pair on its own: each order's precision is one int-by-int division, the
+per-order terms are added left to right in a loop (the built-in ``sum``
+compensates float sums on Python 3.12+, which would round differently
+there), and each pool row adds its utilities one by one in pool order,
+duplicates included, before dividing by the pool size.
+
+A candidate's utility against itself is set to 1.0 without scoring, which
+is exactly the float scoring gives. Exact match is 1.0 on equality by
+definition, and an empty candidate against itself is the both-empty case.
+Under chrF a text's clipped overlap with itself is, per order, its own
+n-gram count n - k, so every precision and recall term is (n - k) / (n - k)
+= 1.0, each mean is K / K = 1.0 for K orders, and F(1, 1) = 5.0 / 5.0.
+Under sentence BLEU every order's matches equal its total t, so each
+smoothed term is (t + 1) / (t + 1) = 1.0, the log sum is 0.0, the geometric
+mean exp(0.0) = 1.0, and the brevity penalty min(1, exp(1 - n / n)) = 1.0.
 """
 
 from __future__ import annotations
@@ -143,7 +153,9 @@ def expected_utilities(
     profiles = [profile(candidate) for candidate in ids]
     table = [[0.0] * len(profiles) for _ in profiles]
     for i, a in enumerate(profiles):
-        for j in range(i, len(profiles)):
+        # u(x, x) = 1.0 exactly under every utility: see the module docstring
+        table[i][i] = 1.0
+        for j in range(i + 1, len(profiles)):
             table[i][j], table[j][i] = pair(a, profiles[j])
     scores = []
     for i in pool_ids:

@@ -4,13 +4,17 @@
 Usage: python3 tools/bench_pairs.py --parent REV --number N
            [--workload NAME ...] [--pairs 10] [--seconds 30] [--seed 1]
 
-The parent revision is exported with ``git archive`` into a temporary
-directory, which is always removed at the end; both sides read and write
-bytecode only under it (PYTHONPYCACHEPREFIX). For every workload (default:
-each one BENCHMARK.json lists) and every pair i, both sides run
-``perfbench/run.py --trace 0`` on seed ``--seed + i``, each from its own
-checkout; the parent goes first in even pairs and the working tree in odd
-ones, so a drift of the host's speed does not favour one side. The program
+Both sides run from sibling copies in one temporary directory, which is
+always removed at the end: the parent revision exported with ``git
+archive``, and the working tree as it is before the first run (its tracked
+files, uncommitted edits included, and its untracked files that git does
+not ignore). Running the change from the working tree itself read a higher
+peak RSS than the parent with no code change at all. Both sides read and
+write bytecode only under the temporary directory (PYTHONPYCACHEPREFIX).
+For every workload (default: each one BENCHMARK.json lists) and every pair
+i, both sides run ``perfbench/run.py --trace 0`` on seed ``--seed + i``,
+each from its own copy; the parent goes first in even pairs and the working
+tree in odd ones, so a drift of the host's speed does not favour one side. The program
 prints, per workload and end-to-end metric, the median and quartiles
 (inclusive method) of both sides, the median change and the pairs the
 working tree won, tied and lost, and writes every run's final JSON line with
@@ -18,8 +22,8 @@ its seed, seconds and side to BENCH_<N>.json at the repository root.
 
 The record names the working tree as HEAD, "with uncommitted changes" when
 src/ differs from HEAD before the first run. If src/ is not the same after
-the last run, the measured code changed under the runs: the program exits 1
-and writes no BENCH_<N>.json.
+the last run, the record would not name the code that was measured: the
+program exits 1 and writes no BENCH_<N>.json.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +56,22 @@ def export(rev: str, directory: Path) -> None:
     """Write the files of rev into directory."""
     archive = _git("archive", "--format=tar", rev)
     subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
+
+
+def tree_files() -> list[str]:
+    """The working tree's files, relative to its root: the tracked ones that
+    exist and the untracked ones that git does not ignore."""
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    names = dict.fromkeys(os.fsdecode(name) for name in listed.split(b"\0") if name)
+    return [name for name in names if os.path.lexists(ROOT / name)]
+
+
+def export_tree(directory: Path) -> None:
+    """Copy the working tree's files into directory."""
+    for name in tree_files():
+        target = directory / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(ROOT / name, target, follow_symlinks=False)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -145,11 +166,13 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        checkouts = {"parent": Path(tmp) / "parent", "change": ROOT}
-        checkouts["parent"].mkdir()
+        checkouts = {side: Path(tmp) / side for side in SIDES}
+        for checkout in checkouts.values():
+            checkout.mkdir()
         export(parent_sha, checkouts["parent"])
-        # both sides keep their bytecode here, so a __pycache__ in the working
-        # tree does not spare only the change the compile that setup_s times
+        export_tree(checkouts["change"])
+        # both sides keep their bytecode here, outside both copies, and each
+        # compiles its sources once, in its first setup
         os.environ["PYTHONPYCACHEPREFIX"] = str(Path(tmp) / "pycache")
         for workload in workloads:
             for i in range(args.pairs):
