@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the pairwise summary of parent and working-tree runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,26 @@ def test_failed_and_correct_cover_both_sides_per_workload():
     assert list(summary) == ["a", "b"]
     assert (summary["a"]["failed"], summary["a"]["correct"]) == (3, False)
     assert (summary["b"]["failed"], summary["b"]["correct"]) == (4, True)
+
+
+def test_working_tree_copy_holds_tracked_edits_and_unignored_new_files(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"
+    (tree / "src").mkdir(parents=True)
+    for name, text in [(".gitignore", "*.log\n__pycache__/\n"), ("src/kept.py", "old\n"),
+                       ("src/edited.py", "old\n"), ("src/deleted.py", "old\n")]:
+        (tree / name).write_text(text, encoding="utf-8")
+    subprocess.run(["git", "init", "-q"], cwd=tree, check=True)
+    subprocess.run(["git", "add", "."], cwd=tree, check=True)
+    (tree / "src" / "edited.py").write_text("new\n", encoding="utf-8")
+    (tree / "src" / "deleted.py").unlink()
+    (tree / "src" / "added.py").write_text("added\n", encoding="utf-8")
+    (tree / "run.log").write_text("ignored\n", encoding="utf-8")
+    (tree / "src" / "__pycache__").mkdir()
+    (tree / "src" / "__pycache__" / "kept.pyc").write_bytes(b"ignored")
+    monkeypatch.setattr(bench_pairs, "ROOT", tree)
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    bench_pairs.export_tree(copy)
+    assert sorted(str(path.relative_to(copy)) for path in copy.rglob("*") if path.is_file()) == [
+        ".gitignore", "src/added.py", "src/edited.py", "src/kept.py"]
+    assert (copy / "src" / "edited.py").read_text(encoding="utf-8") == "new\n"

@@ -750,6 +750,28 @@ class TestDecodingCommands:
         )
         assert out.read_text(encoding="utf-8") == "old\n"
 
+    @pytest.mark.parametrize(
+        ("argv", "flag", "named"),
+        [
+            (["mbr", "c0.txt", "c1.txt", "--output", "c0.txt"], "--output", "c0.txt"),
+            (["mbr", "c0.txt", "c1.txt", "--output", "o.txt", "--scores", "c1.txt"],
+             "--scores", "c1.txt"),
+            # another spelling of the input's path
+            (["extract", "--input", "c0.txt", "--kind", "tgt", "--output", "sub/../c0.txt"],
+             "--output", "sub/../c0.txt"),
+        ],
+        ids=["mbr-output", "mbr-scores", "extract-output"],
+    )
+    def test_output_naming_an_input_is_refused(self, tmp_path, capsys, argv, flag, named):
+        (tmp_path / "sub").mkdir()
+        inputs = {tmp_path / name: f"<tgt> {name}\n" for name in ("c0.txt", "c1.txt")}
+        for path, text in inputs.items():
+            path.write_text(text, encoding="utf-8")
+        assert run([tmp_path / arg if arg.endswith(".txt") else arg for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {flag} names an input file: {tmp_path / named}\n"
+        assert {path: path.read_text(encoding="utf-8") for path in inputs} == inputs
+        assert not (tmp_path / "o.txt").exists()
+
     def test_mbr_tie_takes_smallest_index(self, tmp_path):
         # under exact match line 1 ties all five candidates and line 2 ties
         # indices 1 to 4; neither winner is the smallest or the last string
@@ -828,6 +850,76 @@ class TestDecodingCommands:
         ref.write_text("a\nb\n", encoding="utf-8")
         assert run(["bleu", "--hyp", hyp, "--ref", ref]) == 1
         assert capsys.readouterr().err == f"error: line counts disagree: {hyp}=1, {ref}=2\n"
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one ``cli.main`` call."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def alone(capsys, argv):
+    """The outcome of the call in a process that has made no other call."""
+    cli.build_parser.cache_clear()
+    return outcome(capsys, argv)
+
+
+class TestCachedParser:
+    """One parser serves every ``cli.main`` call of a process."""
+
+    def test_scores_flag_does_not_carry_over(self, tmp_path):
+        c0, c1, c2 = write_mini_pools(tmp_path, lines=20)[:3]
+        out, scores = tmp_path / "consensus.txt", tmp_path / "scores.txt"
+        assert run(["mbr", c0, c1, "--output", out, "--scores", scores]) == 0
+        written = scores.read_bytes()
+        assert run(["mbr", c0, c2, "--output", out]) == 0
+        assert scores.read_bytes() == written
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        c0, c1 = write_mini_pools(tmp_path, lines=20)[:2]
+        out = tmp_path / "consensus.txt"
+        usage_error = ["mbr", "--output", out]
+        valid = ["mbr", c0, c1, "--output", out]
+        expected = [alone(capsys, usage_error)]
+        assert expected[0][0] == 2 and not out.exists()
+        expected.append(alone(capsys, valid))
+        assert expected[1] == (0, "", "")
+        consensus = out.read_bytes()
+        out.unlink()
+        cli.build_parser.cache_clear()
+        assert [outcome(capsys, usage_error), outcome(capsys, valid)] == expected
+        assert out.read_bytes() == consensus
+
+    def test_handler_is_looked_up_at_call_time(self, tmp_path, capsys, monkeypatch):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("a b\n", encoding="utf-8")
+        assert run(["bleu", "--hyp", hyp, "--ref", hyp]) == 0
+        calls = []
+
+        def spy(args):
+            calls.append(args.hyp)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_bleu", spy)
+        assert run(["bleu", "--hyp", hyp, "--ref", hyp]) == 7
+        assert calls == [str(hyp)]
+
+    def test_help_is_the_same_after_other_calls(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        commands = [[], *([name] for name in cli.STAGES),
+                    ["extract"], ["mbr"], ["bleu"], ["pipeline"]]
+        helps = [alone(capsys, [*command, "--help"]) for command in commands]
+        assert all(code == 0 and out.startswith("usage: lexali") for code, out, _ in helps)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("a b\n", encoding="utf-8")
+        cli.build_parser.cache_clear()
+        outcome(capsys, ["bleu", "--hyp", hyp, "--ref", hyp])
+        outcome(capsys, ["mbr", "--output", hyp])
+        assert [outcome(capsys, [*command, "--help"]) for command in commands] == helps
 
 
 @pytest.mark.parametrize("command", [*cli.STAGES, "pipeline"])

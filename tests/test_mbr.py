@@ -65,9 +65,14 @@ def random_sentence(rng, max_len=4):
 
 class TestUtilities:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_identity_is_one(self, kind):
-        for sentence in [("a",), ("the", "cat"), ("x", "y", "z")]:
-            assert mbr.utility(sentence, sentence, kind) == pytest.approx(1.0)
+    @settings(max_examples=150, deadline=None)
+    @given(pool=pools())
+    @example(pool=[(), ("a",), ("the", "cat"), ("x", "y", "z"), ("a", "a", "a", "a", "a")])
+    def test_identity_is_one(self, kind, pool):
+        # exactly 1.0, the value expected_utilities sets without scoring
+        for sentence in pool:
+            assert mbr.utility(sentence, sentence, kind) == 1.0
+            assert LOOP_ORACLES[kind](sentence, sentence) == 1.0
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_empty_conventions(self, kind):

@@ -14,11 +14,11 @@ write bytecode only under the temporary directory (PYTHONPYCACHEPREFIX).
 For every workload (default: each one BENCHMARK.json lists) and every pair
 i, both sides run ``perfbench/run.py --trace 0`` on seed ``--seed + i``,
 each from its own copy; the parent goes first in even pairs and the working
-tree in odd ones, so a drift of the host's speed does not favour one side. The program
-prints, per workload and end-to-end metric, the median and quartiles
-(inclusive method) of both sides, the median change and the pairs the
-working tree won, tied and lost, and writes every run's final JSON line with
-its seed, seconds and side to BENCH_<N>.json at the repository root.
+tree in odd ones, so a drift of the host's speed does not favour one side.
+The program prints, per workload and end-to-end metric, the median and
+quartiles (inclusive method) of both sides, the median change and the pairs
+the working tree won, tied and lost, and writes every run's final JSON line
+with its seed, seconds and side to BENCH_<N>.json at the repository root.
 
 The record names the working tree as HEAD, "with uncommitted changes" when
 src/ differs from HEAD before the first run. If src/ is not the same after
@@ -58,20 +58,15 @@ def export(rev: str, directory: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
 
 
-def tree_files() -> list[str]:
-    """The working tree's files, relative to its root: the tracked ones that
-    exist and the untracked ones that git does not ignore."""
-    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
-    names = dict.fromkeys(os.fsdecode(name) for name in listed.split(b"\0") if name)
-    return [name for name in names if os.path.lexists(ROOT / name)]
-
-
 def export_tree(directory: Path) -> None:
-    """Copy the working tree's files into directory."""
-    for name in tree_files():
-        target = directory / name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(ROOT / name, target, follow_symlinks=False)
+    """Copy the working tree's files into directory: the tracked ones that
+    exist, as they are now, and the untracked ones that git does not ignore."""
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in dict.fromkeys(os.fsdecode(name) for name in listed.split(b"\0") if name):
+        if os.path.lexists(ROOT / name):
+            target = directory / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, target, follow_symlinks=False)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -171,8 +166,6 @@ def main(argv: list[str] | None = None) -> int:
             checkout.mkdir()
         export(parent_sha, checkouts["parent"])
         export_tree(checkouts["change"])
-        # both sides keep their bytecode here, outside both copies, and each
-        # compiles its sources once, in its first setup
         os.environ["PYTHONPYCACHEPREFIX"] = str(Path(tmp) / "pycache")
         for workload in workloads:
             for i in range(args.pairs):
