@@ -3,8 +3,8 @@
 Every subcommand reads and writes fixed artifact names inside the working
 directory given by --out, so running the full pipeline is byte-identical to
 chaining the individual subcommands by hand. Each stage option is declared
-once, in OPTIONS; its value comes from a command line flag, else its
-default.
+once, in OPTIONS, as the add_argument keywords of its flag: argparse parses,
+defaults and requires every option.
 Every command that writes into --out, the pipeline and each stage, holds a
 lock file there while it runs; the pipeline also records a manifest of
 artifact checksums.
@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from functools import cache, partial
 from pathlib import Path
@@ -119,24 +119,19 @@ def _parse_segments(value: str) -> tuple[augment.SegmentKind, ...]:
     return tuple(kinds)
 
 
-def _parse_mode(value: str) -> str:
-    if value not in ("simple", "full"):
-        raise LexaliError(f"mode must be 'simple' or 'full', got {value!r}")
-    return value
-
-
-# Every stage option, once: the parser of its string value and its default
-# string (None: required). The stage and pipeline flags and the manifest's
-# config section are both built from this table.
-OPTIONS: dict[str, tuple[Callable[[str], object], str | None]] = {
-    "src": (partial(_parse_path, key="src"), None),
-    "tgt": (partial(_parse_path, key="tgt"), None),
-    "out": (_parse_out, None),
-    "iterations": (partial(_parse_int, key="iterations", minimum=1), "5"),
-    "merges": (partial(_parse_int, key="merges", minimum=0), "500"),
-    "segments": (_parse_segments, "lex,ali,tgt"),
-    "mode": (_parse_mode, "full"),
-    "vocab_threshold": (partial(_parse_int, key="vocab_threshold", minimum=1), "1"),
+# Every stage option, once, as the add_argument keywords of its flag: the
+# parser of its string value, and its default string or required=True. The
+# stage and pipeline flags and the manifest's config section are both built
+# from this table.
+OPTIONS: dict[str, dict[str, object]] = {
+    "src": dict(type=partial(_parse_path, key="src"), required=True),
+    "tgt": dict(type=partial(_parse_path, key="tgt"), required=True),
+    "out": dict(type=_parse_out, required=True),
+    "iterations": dict(type=partial(_parse_int, key="iterations", minimum=1), default="5"),
+    "merges": dict(type=partial(_parse_int, key="merges", minimum=0), default="500"),
+    "segments": dict(type=_parse_segments, default="lex,ali,tgt"),
+    "mode": dict(choices=("simple", "full"), default="full"),
+    "vocab_threshold": dict(type=partial(_parse_int, key="vocab_threshold", minimum=1), default="1"),
 }
 
 # The stage subcommands in pipeline order, each with its help text and the
@@ -152,20 +147,6 @@ STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
     "bpe-apply": ("apply the learned merges everywhere", ("src", "tgt", "out", "vocab_threshold")),
     "augment": ("emit permutation training examples", ("out", "segments", "mode")),
 }
-
-
-def resolve(args: argparse.Namespace, names: Iterable[str]) -> argparse.Namespace:
-    """Parse each named option from its flag, else its default."""
-    resolved = argparse.Namespace()
-    for name in names:
-        parse, default = OPTIONS[name]
-        value = getattr(args, name, None)
-        if value is None:
-            value = default
-        if value is None:
-            raise LexaliError(f"missing required option {name!r}")
-        setattr(resolved, name, parse(value))
-    return resolved
 
 
 # ---------------------------------------------------------------- stages
@@ -332,10 +313,15 @@ def write_run_manifest(config: argparse.Namespace, out: Path) -> None:
 
 
 @contextmanager
-def _claimed(out: str) -> Iterator[Path]:
-    """Create the working directory and hold its LOCK, which holds the pid
-    of this run, until the block ends."""
-    path = Path(out)
+def _claimed(args: argparse.Namespace) -> Iterator[Path]:
+    """Refuse a --src or --tgt that is a file the pipeline writes in --out,
+    then create --out and hold its LOCK, which holds the pid of this run,
+    until the block ends."""
+    _check_outputs(
+        [(f"--{name}", getattr(args, name)) for name in ("src", "tgt") if hasattr(args, name)],
+        [("", os.path.join(args.out, name)) for name in (*PIPELINE_ARTIFACTS, RUN_MANIFEST)],
+    )
+    path = Path(args.out)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -383,30 +369,35 @@ def _run_stage(command: str, config: argparse.Namespace, out: Path) -> None:
     stage(**kwargs)
 
 
+def _check_outputs(inputs: Iterable[tuple[str, str]], outputs: Iterable[tuple[str, str]]) -> None:
+    """Refuse an output that names the same file as an input or an earlier
+    output, since writing it would destroy that file; called before anything
+    is read. Each file comes with the flag that gave it, or "" where the
+    command names it itself (mbr's candidates, the artifacts in --out); the
+    message names the flag the user gave."""
+    read = {os.path.realpath(path): (flag, path) for flag, path in inputs}
+    written: dict[str, str] = {}
+    for flag, path in outputs:
+        real = os.path.realpath(path)
+        if real in read:
+            raise LexaliError(
+                f"{flag} names an input file: {path}" if flag
+                else "{} names an output file: {}".format(*read[real])
+            )
+        if real in written:
+            raise LexaliError(f"{flag} and {written[real]} name the same file: {path}")
+        if flag:
+            written[real] = flag
+
+
 def cmd_stage(args: argparse.Namespace) -> int:
-    config = resolve(args, STAGES[args.command][1])
-    with _claimed(config.out) as out:
-        _run_stage(args.command, config, out)
+    with _claimed(args) as out:
+        _run_stage(args.command, args, out)
     return 0
 
 
-def _check_outputs(inputs: Sequence[str], outputs: dict[str, str]) -> None:
-    """Refuse an output that names the same file as an input or an earlier
-    output, since writing it would destroy that file; called before anything
-    is read."""
-    read = {os.path.realpath(path) for path in inputs}
-    written: dict[str, str] = {}
-    for flag, path in outputs.items():
-        real = os.path.realpath(path)
-        if real in read:
-            raise LexaliError(f"{flag} names an input file: {path}")
-        if real in written:
-            raise LexaliError(f"{flag} and {written[real]} name the same file: {path}")
-        written[real] = flag
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
-    _check_outputs([args.input], {"--output": args.output})
+    _check_outputs([("--input", args.input)], [("--output", args.output)])
     kind = augment.SegmentKind[args.kind.upper()]
     outputs = corpus.read_sentences(args.input)
     extracted: list[corpus.Sentence] = []
@@ -430,10 +421,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_mbr(args: argparse.Namespace) -> int:
-    outputs = {"--output": args.output}
+    outputs = [("--output", args.output)]
     if args.scores:
-        outputs["--scores"] = args.scores
-    _check_outputs(args.candidates, outputs)
+        outputs.append(("--scores", args.scores))
+    _check_outputs([("", path) for path in args.candidates], outputs)
     kind = _UTILITY_ALIASES[args.utility]
     candidate_files = [corpus.read_sentences(path) for path in args.candidates]
     corpus.check_line_counts(*zip(args.candidates, candidate_files))
@@ -463,14 +454,13 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = resolve(args, OPTIONS)
-    with _claimed(config.out) as out:
+    with _claimed(args) as out:
         for command in STAGES:
             try:
-                _run_stage(command, config, out)
+                _run_stage(command, args, out)
             except LexaliError as exc:
                 raise LexaliError(f"stage {command} failed: {exc}") from exc
-        write_run_manifest(config, out)
+        write_run_manifest(args, out)
     return 0
 
 
@@ -495,11 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_options(sub: argparse.ArgumentParser, names: Iterable[str]) -> None:
         for name in names:
-            default = OPTIONS[name][1]
+            option = OPTIONS[name]
             sub.add_argument(
                 "--" + name.replace("_", "-"),
                 dest=name,
-                help="required" if default is None else f"default: {default}",
+                help="required" if option.get("required") else "default: %(default)s",
+                **option,
             )
 
     for command, (help_text, names) in STAGES.items():
@@ -527,8 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # argparse turns only an ArgumentTypeError, TypeError or ValueError
+        # from a type= parser into a usage error, so a LexaliError from an
+        # OPTIONS parser reaches the handler below like any other
+        args = build_parser().parse_args(argv)
         # looked up by name, as _run_stage looks up the stages
         return globals()[args.handler](args)
     except LexaliError as exc:

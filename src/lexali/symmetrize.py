@@ -54,7 +54,7 @@ def extract_lexicon(
     the links are those ``read_links`` checked against the corpus."""
     counts: dict[str, dict[str, int]] = {}
     for (src, tgt), links in zip(corpus.pairs, alignments):
-        for i, j in sorted(links):
+        for i, j in links:
             row = counts.setdefault(src[i], {})
             row[tgt[j]] = row.get(tgt[j], 0) + 1
     entries: dict[str, tuple[str, int]] = {}

@@ -1,10 +1,10 @@
 """Command line behavior: option handling, stages, determinism, errors."""
 
-import argparse
 import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -151,23 +151,40 @@ def toy_args(tmp_path):
 
 class TestConfig:
     def test_defaults(self, tmp_path):
-        args = argparse.Namespace(
-            src=data_path("toy.src"),
-            tgt=data_path("toy.tgt"),
-            out=str(tmp_path),
-        )
-        resolved = cli.resolve(args, cli.OPTIONS)
-        assert resolved.iterations == 5
-        assert resolved.merges == 500
-        assert resolved.mode == "full"
-        assert [k.name.lower() for k in resolved.segments] == ["lex", "ali", "tgt"]
-        assert resolved.vocab_threshold == 1
+        args = cli.build_parser().parse_args([
+            "pipeline", "--src", data_path("toy.src"), "--tgt", data_path("toy.tgt"),
+            "--out", str(tmp_path),
+        ])
+        assert args.iterations == 5
+        assert args.merges == 500
+        assert args.mode == "full"
+        assert [k.name.lower() for k in args.segments] == ["lex", "ali", "tgt"]
+        assert args.vocab_threshold == 1
 
-    def test_missing_required(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["align", "pipeline"])
+    def test_missing_required(self, tmp_path, capsys, command):
         out = tmp_path / "run"
-        assert run(["align", "--tgt", data_path("toy.tgt"), "--out", out]) == 1
-        assert capsys.readouterr().err == "error: missing required option 'src'\n"
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--tgt", data_path("toy.tgt"), "--out", out])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: lexali {command} ")
+        assert "the following arguments are required: --src" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [*cli.STAGES, "pipeline"])
+    def test_help_shows_each_default(self, capsys, command):
+        names = cli.STAGES[command][1] if command in cli.STAGES else cli.OPTIONS
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--help"])
+        assert exit_info.value.code == 0
+        # argparse may wrap a line between a flag's metavar and its help
+        help_text = " ".join(capsys.readouterr().out.split())
+        for name in names:
+            default = cli.OPTIONS[name].get("default")
+            expected = "required" if default is None else f"default: {default}"
+            flag = "--" + name.replace("_", "-")
+            assert re.search(rf"{flag} \S+ {re.escape(expected)}( |$)", help_text), flag
 
     def test_config_flag_is_a_usage_error(self, tmp_path, toy_args, capsys):
         config = tmp_path / "run.conf"
@@ -233,7 +250,6 @@ BAD_VALUES = [
     (["bpe-learn", *BOTH_SIDES], "--merges", "-1", "merges must be >= 0, got -1"),
     (["bpe-apply", *BOTH_SIDES], "--vocab-threshold", "0",
      "vocab_threshold must be >= 1, got 0"),
-    (["augment"], "--mode", "x", "mode must be 'simple' or 'full', got 'x'"),
     (["augment"], "--segments", "lex", "segments must include tgt"),
     (["augment"], "--segments", "lex,xyz", "unknown segment kind 'xyz'"),
     (["augment"], "--segments", "lex,,tgt", "unknown segment kind ''"),
@@ -259,6 +275,58 @@ def test_bad_value_same_error_on_stage_and_pipeline(
     assert errors == [f"error: {message}\n"] * 2
     assert not (tmp_path / "stage").exists()
     assert not (tmp_path / "run").exists()
+
+
+def test_bad_mode_is_a_usage_error_on_stage_and_pipeline(tmp_path, toy_args, capsys):
+    for argv in (
+        ["augment", "--out", tmp_path / "stage", "--mode", "x"],
+        ["pipeline", *toy_args, "--mode", "x"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: lexali {argv[0]} ")
+        assert "argument --mode: invalid choice: 'x'" in err
+    assert not (tmp_path / "stage").exists()
+    assert not (tmp_path / "run").exists()
+
+
+class TestCorpusInOut:
+    """A stage or the pipeline never writes over its own --src or --tgt."""
+
+    @pytest.mark.parametrize(
+        ("argv", "flag", "name"),
+        [(["pipeline", "--tgt", data_path("toy.tgt")], "--src", cli.LEX_WORDS),
+         (["pipeline", "--src", data_path("toy.src")], "--tgt", cli.RUN_MANIFEST),
+         (["lex"], "--src", cli.LEX_WORDS),
+         (["ali"], "--tgt", cli.ALI_WORDS)],
+        ids=["pipeline-src", "pipeline-tgt-manifest", "lex", "ali"],
+    )
+    def test_input_in_out_is_refused(self, tmp_path, capsys, argv, flag, name):
+        out = tmp_path / "run"
+        assert run(["pipeline", "--src", data_path("toy.src"),
+                    "--tgt", data_path("toy.tgt"), "--out", out]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        path = out / name
+        assert run([*argv, flag, path, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {flag} names an output file: {path}\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_symlink_into_out_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        lex = out / cli.LEX_WORDS
+        lex.write_text("das haus\n", encoding="utf-8")
+        link = tmp_path / "corpus.src"
+        link.symlink_to(lex)
+        (tmp_path / "sub").mkdir()
+        # another spelling of --out reaches the same file too
+        for out_flag in (out, tmp_path / "sub" / ".." / "run"):
+            assert run(["lex", "--src", link, "--out", out_flag]) == 1
+            assert capsys.readouterr().err == f"error: --src names an output file: {link}\n"
+        assert lex.read_text(encoding="utf-8") == "das haus\n"
+        assert sorted(p.name for p in out.iterdir()) == [cli.LEX_WORDS]
 
 
 class TestPipeline:
@@ -893,6 +961,18 @@ class TestCachedParser:
         cli.build_parser.cache_clear()
         assert [outcome(capsys, usage_error), outcome(capsys, valid)] == expected
         assert out.read_bytes() == consensus
+
+    def test_error_while_parsing_then_valid_call(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("a b\n", encoding="utf-8")
+        bad = [*toy_argv("align", tmp_path / "bad"), "--iterations", "five"]
+        valid = ["bleu", "--hyp", hyp, "--ref", hyp]
+        expected = [alone(capsys, bad), alone(capsys, valid)]
+        assert expected[0] == (1, "", "error: iterations must be an integer, got 'five'\n")
+        assert expected[1][0] == 0
+        cli.build_parser.cache_clear()
+        assert [outcome(capsys, bad), outcome(capsys, valid)] == expected
+        assert not (tmp_path / "bad").exists()
 
     def test_handler_is_looked_up_at_call_time(self, tmp_path, capsys, monkeypatch):
         hyp = tmp_path / "hyp.txt"
