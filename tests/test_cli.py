@@ -161,16 +161,16 @@ class TestConfig:
         assert [k.name.lower() for k in args.segments] == ["lex", "ali", "tgt"]
         assert args.vocab_threshold == 1
 
-    @pytest.mark.parametrize("command", ["align", "pipeline"])
-    def test_missing_required(self, tmp_path, capsys, command):
+    def test_missing_required(self, tmp_path, capsys):
         out = tmp_path / "run"
-        with pytest.raises(SystemExit) as exit_info:
-            run([command, "--tgt", data_path("toy.tgt"), "--out", out])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"usage: lexali {command} ")
-        assert "the following arguments are required: --src" in err
-        assert not out.exists()
+        for command in ("align", "pipeline"):
+            with pytest.raises(SystemExit) as exit_info:
+                run([command, "--tgt", data_path("toy.tgt"), "--out", out])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: lexali {command} ")
+            assert "the following arguments are required: --src" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", [*cli.STAGES, "pipeline"])
     def test_help_shows_each_default(self, capsys, command):
