@@ -20,9 +20,11 @@ Before the first iteration every co-occurring (conditioning, emitted) word
 pair is interned to an integer cell. Each conditioning word gets a row id,
 NULL first and the rest in first-seen order, and a row's cells are numbered
 contiguously. A sentence pair becomes a tuple of row ids (its candidates)
-plus, per emitted token, the tuple of cell ids its candidates index, so the
-iterations run over flat ``probs``, ``counts`` and ``totals`` lists instead
-of nested dicts.
+plus, per emitted token, the tuple of cell ids its candidates index. At its
+peak EM holds this layout, two flat float lists (``probs`` and ``counts``)
+and each row's emitted words as a tuple: the M-step divides each row's slice
+of ``counts`` in place. The table is built after the layout is freed, last
+row first, so each row's floats are freed once its entries exist.
 
 Floating-point addition is not associative, so the arithmetic order is part
 of the result. Each denominator is summed left to right in candidate order
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import truediv
 from pathlib import Path
 from typing import Literal
 
@@ -86,39 +87,44 @@ def train_model1(
     pairs = corpus.pairs
     if direction == SRC_TO_TGT:
         pairs = tuple((tgt, src) for src, tgt in pairs)
-    words, row_cells, layout = _intern_cells(pairs)
-    cell_rows: list[int] = []
+    words, rows, layout = _intern_cells(pairs)
     probs: list[float] = []
-    for row, cells in enumerate(row_cells):
-        if cells:
-            cell_rows += [row] * len(cells)
-            probs += [1.0 / len(cells)] * len(cells)
+    for _, _, emitted in rows:
+        probs += [1.0 / len(emitted)] * len(emitted)
 
     for _ in range(iterations - 1):
         counts, totals = _expected_counts(layout, probs, len(words))
-        probs = list(map(truediv, counts, map(totals.__getitem__, cell_rows)))
+        del probs
+        for row, start, emitted in rows:
+            end = start + len(emitted)
+            total = totals[row]
+            counts[start:end] = [c / total for c in counts[start:end]]
+        probs = counts
     counts, totals = _expected_counts(layout, probs, len(words))
+    del layout
 
-    table: dict[str, dict[str, float]] = {}
-    for row, cells in enumerate(row_cells):
+    built: list[tuple[str, dict[str, float]]] = []
+    for row, start, emitted in reversed(rows):
         total = totals[row]
         if total > 0.0:
-            table[words[row]] = {
-                f: counts[cell] / total
-                for f, cell in cells.items()
-                if probs[cell] != 0.0
-            }
-    return TranslationTable(direction=direction, probs=table)
+            if 0.0 in probs[start:]:
+                kept = zip(emitted, counts[start:], probs[start:])
+                entries = {f: c / total for f, c, p in kept if p != 0.0}
+            else:
+                entries = dict(zip(emitted, [c / total for c in counts[start:]]))
+            built.append((words[row], entries))
+        del counts[start:], probs[start:]
+    return TranslationTable(direction=direction, probs=dict(reversed(built)))
 
 
 def _intern_cells(
     pairs: Sequence[tuple[Sentence, Sentence]],
-) -> tuple[list[str], list[dict[str, int]], list[Layout]]:
+) -> tuple[list[str], list[tuple[int, int, tuple[str, ...]]], list[Layout]]:
     """Number every co-occurring (conditioning, emitted) word pair.
 
-    Returns the conditioning words by row id, each row's emitted words
-    mapped to their cell ids, and per sentence pair its candidate row ids
-    with one tuple of cell ids per emitted token.
+    Returns the conditioning words by row id; per row with cells its id,
+    first cell and emitted words in cell order; and per sentence pair its
+    candidate row ids with one tuple of cell ids per emitted token.
     """
     row_ids = {NULL_WORD: 0}
     row_words: list[dict[str, None]] = [{}]
@@ -136,16 +142,19 @@ def _intern_cells(
             row_words[row].update(seen)
         pair_rows.append(tuple(rows))
     row_cells = []
+    row_spans = []
     start = 0
-    for emitted_words in row_words:
+    for row, emitted_words in enumerate(row_words):
         end = start + len(emitted_words)
         row_cells.append(dict(zip(emitted_words, range(start, end))))
+        if emitted_words:
+            row_spans.append((row, start, tuple(emitted_words)))
         start = end
     layout = []
     for rows, (_, emitted) in zip(pair_rows, pairs):
         columns = [map(row_cells[row].__getitem__, emitted) for row in rows]
         layout.append((rows, tuple(zip(*columns))))
-    return list(row_ids), row_cells, layout
+    return list(row_ids), row_spans, layout
 
 
 def _expected_counts(

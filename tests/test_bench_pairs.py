@@ -1,6 +1,9 @@
 """tools/bench_pairs.py: the pairwise summary of parent and working-tree runs."""
 
+import hashlib
 import importlib.util
+import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -100,3 +103,41 @@ def test_working_tree_copy_holds_tracked_edits_and_unignored_new_files(tmp_path,
     assert sorted(str(path.relative_to(copy)) for path in copy.rglob("*") if path.is_file()) == [
         ".gitignore", "src/added.py", "src/edited.py", "src/kept.py"]
     assert (copy / "src" / "edited.py").read_text(encoding="utf-8") == "new\n"
+
+
+FAKE_RUN = '''import json, os, sys
+print(json.dumps({"failed": 0, "correct": True,
+                  "pycache_env": os.environ.get("PYTHONPYCACHEPREFIX"),
+                  "pycache_prefix": sys.pycache_prefix,
+                  "metrics": {"round_s": {"value": 1.0}}}))
+'''
+
+
+def test_record_holds_tool_hash_and_runs_without_pycache_prefix(tmp_path, monkeypatch):
+    """main() on a tree whose perfbench/run.py reports its own environment:
+    neither side's run gets a bytecode cache prefix, and the record holds
+    the sha256 of tools/bench_pairs.py."""
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "src").mkdir()
+    benchmark = {"workloads": [{"name": "w"}],
+                 "end_to_end": [{"name": "round_s", "better": "lower"}]}
+    (tree / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    (tree / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
+    (tree / "src" / "code.py").write_text("pass\n", encoding="utf-8")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run([*git, "init", "-q"], cwd=tree, check=True)
+    subprocess.run([*git, "add", "."], cwd=tree, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "tree"], cwd=tree, check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", tree)
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    assert bench_pairs.main(["--parent", "HEAD", "--number", "7", "--pairs", "2",
+                             "--seconds", "1"]) == 0
+    record = json.loads((tree / "BENCH_7.json").read_text(encoding="utf-8"))
+    assert record["tool_sha256"] == hashlib.sha256(_PATH.read_bytes()).hexdigest()
+    assert sorted((run["seed"], run["side"]) for run in record["runs"]) == [
+        (1, "change"), (1, "parent"), (2, "change"), (2, "parent")]
+    for run in record["runs"]:
+        assert run["result"]["pycache_env"] is None
+        assert run["result"]["pycache_prefix"] is None
+    assert "PYTHONPYCACHEPREFIX" not in os.environ

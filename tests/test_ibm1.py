@@ -1,8 +1,10 @@
 """Model 1 training, Viterbi alignment, likelihood, table files."""
 
+import gc
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -141,6 +143,52 @@ class TestTraining:
             for k in range(1, 7):
                 table = model1.train_model1(corpus, direction, k)
                 assert table.probs == em_loop_oracle(corpus, direction, k)
+
+    def test_cell_whose_probability_reaches_zero_is_left_out(self):
+        """One probability underflows to exactly 0.0 before the last
+        iteration: tgt_to_src keeps 13 of its 14 co-occurring cells."""
+        corpus = ParallelCorpus(
+            pairs=(
+                (tuple("cada"), tuple("yw")),
+                (tuple("dbc"), tuple("zzw")),
+                (tuple("bddb"), tuple("ywz")),
+            )
+        )
+        for direction in (model1.TGT_TO_SRC, model1.SRC_TO_TGT):
+            table = model1.train_model1(corpus, direction, 1500)
+            assert table.probs == em_loop_oracle(corpus, direction, 1500)
+        table = model1.train_model1(corpus, model1.TGT_TO_SRC, 1500)
+        assert sum(map(len, table.probs.values())) == 13
+        assert set(table.probs["c"]) == {"w", "z"}
+
+    def test_peak_memory_is_a_small_multiple_of_the_table(self):
+        """EM holds the layout, two float lists and each row's words at its
+        peak; the table is built after the layout is freed. About 62k cells:
+        the peak stays within 2.6 times the table's own size."""
+        rng = random.Random(0)
+
+        def sentence(prefix):
+            length = rng.randint(5, 30)
+            return tuple(f"{prefix}{rng.randrange(3000)}" for _ in range(length))
+
+        corpus = ParallelCorpus(
+            pairs=tuple((sentence("s"), sentence("t")) for _ in range(200))
+        )
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            table = model1.train_model1(corpus, model1.TGT_TO_SRC, 5)
+            gc.collect()
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert sum(map(len, table.probs.values())) > 55_000
+        assert (peak - base) / (size - base) <= 2.6
 
     def test_deterministic_bit_identical(self):
         rng = random.Random(5)

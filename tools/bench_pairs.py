@@ -9,16 +9,19 @@ always removed at the end: the parent revision exported with ``git
 archive``, and the working tree as it is before the first run (its tracked
 files, uncommitted edits included, and its untracked files that git does
 not ignore). Running the change from the working tree itself read a higher
-peak RSS than the parent with no code change at all. Both sides read and
-write bytecode only under the temporary directory (PYTHONPYCACHEPREFIX).
-For every workload (default: each one BENCHMARK.json lists) and every pair
-i, both sides run ``perfbench/run.py --trace 0`` on seed ``--seed + i``,
+peak RSS than the parent with no code change at all. Each side writes its
+bytecode into its own copy, as a run from a checkout does; a bytecode cache
+prefix raised every peak RSS by about 2.4 MB. For every workload (default:
+each one BENCHMARK.json lists) and every pair i, both sides run
+``perfbench/run.py --trace 0`` on seed ``--seed + i``,
 each from its own copy; the parent goes first in even pairs and the working
 tree in odd ones, so a drift of the host's speed does not favour one side.
 The program prints, per workload and end-to-end metric, the median and
 quartiles (inclusive method) of both sides, the median change and the pairs
 the working tree won, tied and lost, and writes every run's final JSON line
-with its seed, seconds and side to BENCH_<N>.json at the repository root.
+with its seed, seconds and side to BENCH_<N>.json at the repository root,
+with the sha256 of this program as ``tool_sha256``, so that a change of the
+harness between two records can be told from a change of the code.
 
 The record names the working tree as HEAD, "with uncommitted changes" when
 src/ differs from HEAD before the first run. If src/ is not the same after
@@ -29,6 +32,7 @@ program exits 1 and writes no BENCH_<N>.json.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -166,7 +170,6 @@ def main(argv: list[str] | None = None) -> int:
             checkout.mkdir()
         export(parent_sha, checkouts["parent"])
         export_tree(checkouts["change"])
-        os.environ["PYTHONPYCACHEPREFIX"] = str(Path(tmp) / "pycache")
         for workload in workloads:
             for i in range(args.pairs):
                 seed = args.seed + i
@@ -187,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent": parent_sha,
         "change": head + (" with uncommitted changes" if source else ""),
         "python": platform.python_version(),
+        "tool_sha256": hashlib.sha256(Path(__file__).read_bytes()).hexdigest(),
         "pairs": args.pairs,
         "summary": summary,
         "runs": runs,
