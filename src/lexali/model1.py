@@ -21,10 +21,9 @@ pair is interned to an integer cell. Each conditioning word gets a row id,
 NULL first and the rest in first-seen order, and a row's cells are numbered
 contiguously. A sentence pair becomes a tuple of row ids (its candidates)
 plus, per emitted token, the tuple of cell ids its candidates index. At its
-peak EM holds this layout, two flat float lists (``probs`` and ``counts``)
-and each row's emitted words as a tuple: the M-step divides each row's slice
-of ``counts`` in place. The table is built after the layout is freed, last
-row first, so each row's floats are freed once its entries exist.
+peak EM holds this layout, the flat ``probs`` and ``counts`` lists and each
+row's emitted words as a tuple; the M-step divides ``counts`` in place, and
+the table is built after the layout and ``probs`` are freed.
 
 Floating-point addition is not associative, so the arithmetic order is part
 of the result. Each denominator is summed left to right in candidate order
@@ -101,20 +100,22 @@ def train_model1(
             counts[start:end] = [c / total for c in counts[start:end]]
         probs = counts
     counts, totals = _expected_counts(layout, probs, len(words))
-    del layout
+    # only rows with a cell that entered the last iteration at 0.0 keep probs
+    zeros = {row: kept for row, start, emitted in rows
+             if 0.0 in (kept := probs[start:start + len(emitted)])}
+    del layout, probs
 
-    built: list[tuple[str, dict[str, float]]] = []
-    for row, start, emitted in reversed(rows):
+    table: dict[str, dict[str, float]] = {}
+    for row, start, emitted in rows:
         total = totals[row]
         if total > 0.0:
-            if 0.0 in probs[start:]:
-                kept = zip(emitted, counts[start:], probs[start:])
-                entries = {f: c / total for f, c, p in kept if p != 0.0}
+            values = [c / total for c in counts[start:start + len(emitted)]]
+            if row in zeros:
+                cells = zip(emitted, values, zeros[row])
+                table[words[row]] = {f: c for f, c, p in cells if p != 0.0}
             else:
-                entries = dict(zip(emitted, [c / total for c in counts[start:]]))
-            built.append((words[row], entries))
-        del counts[start:], probs[start:]
-    return TranslationTable(direction=direction, probs=dict(reversed(built)))
+                table[words[row]] = dict(zip(emitted, values))
+    return TranslationTable(direction=direction, probs=table)
 
 
 def _intern_cells(
