@@ -157,9 +157,9 @@ class TestTraining:
         for direction in (model1.TGT_TO_SRC, model1.SRC_TO_TGT):
             table = model1.train_model1(corpus, direction, 1500)
             assert table.probs == em_loop_oracle(corpus, direction, 1500)
-        table = model1.train_model1(corpus, model1.TGT_TO_SRC, 1500)
-        assert sum(map(len, table.probs.values())) == 13
-        assert set(table.probs["c"]) == {"w", "z"}
+            if direction == model1.TGT_TO_SRC:
+                assert sum(map(len, table.probs.values())) == 13
+                assert set(table.probs["c"]) == {"w", "z"}
 
     def test_peak_memory_is_a_small_multiple_of_the_table(self):
         """EM holds the layout, two float lists and each row's words at its
@@ -182,6 +182,8 @@ class TestTraining:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             table = model1.train_model1(corpus, model1.TGT_TO_SRC, 5)
+            # a full collection also empties the free lists, so what is
+            # still traced is the table
             gc.collect()
             size, peak = tracemalloc.get_traced_memory()
         finally:
