@@ -23,7 +23,8 @@ contiguously. A sentence pair becomes a tuple of row ids (its candidates)
 plus, per emitted token, the tuple of cell ids its candidates index. At its
 peak EM holds this layout, the flat ``probs`` and ``counts`` lists and each
 row's emitted words as a tuple; the M-step divides ``counts`` in place, and
-the table is built after the layout and ``probs`` are freed.
+the table is built after the layout and ``probs`` are freed. Hapax groups
+(below) shrink all three.
 
 Floating-point addition is not associative, so the arithmetic order is part
 of the result. Each denominator is summed left to right in candidate order
@@ -37,12 +38,25 @@ same sentences the same number of times receive identical shares in the same
 order, so they get bit-identical probabilities in every row, and hapaxes
 sharing a sentence are common under Zipf's law. ``write_table`` therefore
 formats each distinct probability once instead of once per entry.
+
+Training uses that for hapaxes, emitted words seen once in the corpus. Two
+or more in one sentence pair form a group, represented by the first, which
+replaces them all when cells are interned; each row's uniform start still
+counts every member. In the E-step a later member adds the representative's
+shares to the totals only, at its own place in token order. So row totals
+get the same adds in the same order as with a cell per member, whose cells
+would have got exactly the group cells' adds; the table gives every member
+its group cell's float. Members after the first follow a row's other keys,
+so only the key order differs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Literal
 
@@ -59,7 +73,11 @@ SRC_TO_TGT: Direction = "src_to_tgt"
 Links = tuple[int | None, ...]
 
 # one sentence pair: candidate row ids, then per emitted token its cell ids
-Layout = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+# (None for a group member after the representative)
+Layout = tuple[tuple[int, ...], tuple[tuple[int, ...] | None, ...]]
+# pairs without a group, then the next pair with one and its representative's
+# cell ids, or None at the end
+Run = tuple[list[Layout], tuple[Layout, tuple[int, ...]] | None]
 
 
 @dataclass(frozen=True)
@@ -86,27 +104,27 @@ def train_model1(
     pairs = corpus.pairs
     if direction == SRC_TO_TGT:
         pairs = tuple((tgt, src) for src, tgt in pairs)
-    words, rows, layout = _intern_cells(pairs)
+    words, rows, layout, groups = _intern_cells(pairs)
     probs: list[float] = []
-    for _, _, emitted in rows:
-        probs += [1.0 / len(emitted)] * len(emitted)
+    for _, _, emitted, n_words in rows:
+        probs += [1.0 / n_words] * len(emitted)
 
     for _ in range(iterations - 1):
         counts, totals = _expected_counts(layout, probs, len(words))
         del probs
-        for row, start, emitted in rows:
+        for row, start, emitted, _ in rows:
             end = start + len(emitted)
             total = totals[row]
             counts[start:end] = [c / total for c in counts[start:end]]
         probs = counts
     counts, totals = _expected_counts(layout, probs, len(words))
     # only rows with a cell that entered the last iteration at 0.0 keep probs
-    zeros = {row: kept for row, start, emitted in rows
+    zeros = {row: kept for row, start, emitted, _ in rows
              if 0.0 in (kept := probs[start:start + len(emitted)])}
     del layout, probs
 
     table: dict[str, dict[str, float]] = {}
-    for row, start, emitted in rows:
+    for row, start, emitted, _ in rows:
         total = totals[row]
         if total > 0.0:
             values = [c / total for c in counts[start:start + len(emitted)]]
@@ -115,67 +133,124 @@ def train_model1(
                 table[words[row]] = {f: c for f, c, p in cells if p != 0.0}
             else:
                 table[words[row]] = dict(zip(emitted, values))
+    del counts, rows
+    # every member of a group gets its representative's float
+    for group_rows, members in groups:
+        for row in group_rows:
+            row_probs = table.get(words[row], {})
+            if members[0] in row_probs:
+                row_probs.update(dict.fromkeys(members, row_probs[members[0]]))
     return TranslationTable(direction=direction, probs=table)
 
 
 def _intern_cells(
     pairs: Sequence[tuple[Sentence, Sentence]],
-) -> tuple[list[str], list[tuple[int, int, tuple[str, ...]]], list[Layout]]:
-    """Number every co-occurring (conditioning, emitted) word pair.
+) -> tuple[list[str], list[tuple[int, int, tuple[str, ...], int]], list[Run],
+           list[tuple[tuple[int, ...], tuple[str, ...]]]]:
+    """Number every co-occurring (conditioning, emitted) word pair, a group
+    taking one cell per row.
 
     Returns the conditioning words by row id; per row with cells its id,
-    first cell and emitted words in cell order; and per sentence pair its
-    candidate row ids with one tuple of cell ids per emitted token.
+    first cell, emitted words in cell order and number of words, group
+    members included; the layout in runs; and per group its distinct rows
+    and its members in sentence order.
     """
+    hapaxes = {f for f, n in Counter(chain.from_iterable(
+        emitted for _, emitted in pairs)).items() if n == 1}
     row_ids = {NULL_WORD: 0}
-    row_words: list[dict[str, None]] = [{}]
-    pair_rows = []
+    # per row its emitted words, then each word's cell
+    row_cells: list[dict[str, int | None]] = [{}]
+    row_members: Counter[int] = Counter()  # members beyond the representatives
+    groups = []
+    sentences = []
     for conditioning, emitted in pairs:
         rows = [0]
         for e in conditioning:
             row = row_ids.get(e)
             if row is None:
-                row = row_ids[e] = len(row_words)
-                row_words.append({})
+                row = row_ids[e] = len(row_cells)
+                row_cells.append({})
             rows.append(row)
+        rep = None
+        if hapaxes and len(members := tuple(filter(hapaxes.__contains__, emitted))) > 1:
+            rep = members[0]
+            emitted = tuple([rep if f in hapaxes else f for f in emitted])
+            groups.append((tuple(dict.fromkeys(rows)), members))
+            row_members.update(dict.fromkeys(rows, len(members) - 1))
         seen = dict.fromkeys(emitted)
         for row in rows:
-            row_words[row].update(seen)
-        pair_rows.append(tuple(rows))
-    row_cells = []
+            row_cells[row].update(seen)
+        sentences.append((tuple(rows), emitted, rep))
     row_spans = []
     start = 0
-    for row, emitted_words in enumerate(row_words):
+    for row, cells in enumerate(row_cells):
+        emitted_words = tuple(cells)
         end = start + len(emitted_words)
-        row_cells.append(dict(zip(emitted_words, range(start, end))))
+        cells.update(zip(emitted_words, range(start, end)))
         if emitted_words:
-            row_spans.append((row, start, tuple(emitted_words)))
+            n_words = len(emitted_words) + row_members[row]
+            row_spans.append((row, start, emitted_words, n_words))
         start = end
     layout = []
-    for rows, (_, emitted) in zip(pair_rows, pairs):
-        columns = [map(row_cells[row].__getitem__, emitted) for row in rows]
-        layout.append((rows, tuple(zip(*columns))))
-    return list(row_ids), row_spans, layout
+    plain = []
+    for rows, emitted, rep in sentences:
+        # itemgetter needs a word, and returns a lone word's cell bare
+        get = itemgetter(*emitted) if len(emitted) > 1 else lambda d: [d[f] for f in emitted]
+        tokens = tuple(zip(*[get(row_cells[row]) for row in rows]))
+        if rep is None:
+            plain.append((rows, tokens))
+            continue
+        group = tokens[emitted.index(rep)]
+        tokens = tuple([None if f == rep and cells is not group else cells
+                        for f, cells in zip(emitted, tokens)])
+        layout.append((plain, ((rows, tokens), group)))
+        plain = []
+    layout.append((plain, None))
+    return list(row_ids), row_spans, layout, groups
 
 
 def _expected_counts(
-    layout: list[Layout], probs: list[float], n_rows: int
+    layout: list[Run], probs: list[float], n_rows: int
 ) -> tuple[list[float], list[float]]:
     """One E-step: expected count per cell and per conditioning row."""
     counts = [0.0] * len(probs)
     totals = [0.0] * n_rows
-    for rows, tokens in layout:
-        for cells in tokens:
-            denom = 0.0
-            for cell in cells:
-                denom += probs[cell]
-            if denom == 0.0:
-                continue
-            for row, cell in zip(rows, cells):
-                share = probs[cell] / denom
-                counts[cell] += share
-                totals[row] += share
+    for plain, grouped in layout:
+        for rows, tokens in plain:
+            for cells in tokens:
+                denom = 0.0
+                for cell in cells:
+                    denom += probs[cell]
+                if denom == 0.0:
+                    continue
+                for row, cell in zip(rows, cells):
+                    share = probs[cell] / denom
+                    counts[cell] += share
+                    totals[row] += share
+        if grouped is not None:
+            _add_group_counts(grouped, probs, counts, totals)
     return counts, totals
+
+
+def _add_group_counts(grouped: tuple[Layout, tuple[int, ...]], probs: list[float],
+                      counts: list[float], totals: list[float]) -> None:
+    """The E-step of a sentence pair with a group (inlined, it slowed the
+    other pairs' loop by 2 %): later members add to the totals only."""
+    (rows, tokens), group = grouped
+    for cells in tokens:
+        if cells is None:
+            for row, share in zip(rows, replayed):
+                totals[row] += share
+            continue
+        denom = 0.0
+        for cell in cells:
+            denom += probs[cell]
+        shares = [probs[cell] / denom for cell in cells] if denom != 0.0 else []
+        for row, cell, share in zip(rows, cells, shares):
+            counts[cell] += share
+            totals[row] += share
+        if cells is group:
+            replayed = shares
 
 
 def viterbi_align(

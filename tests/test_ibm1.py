@@ -53,6 +53,27 @@ def corpora(draw):
 
 
 @st.composite
+def hapax_corpora(draw):
+    """Pairs over a wide vocabulary: most words are new, so seen once in the
+    corpus, and most sentences hold two or more of them on each side, among
+    the common words "a" and "b"."""
+    counter = iter(range(10**6))
+    # None stands for a word not drawn before
+    slots = st.lists(st.sampled_from([None, None, None, "a", "b"]), min_size=2, max_size=6)
+
+    def sentence():
+        return tuple(f"w{next(counter)}" if w is None else w for w in draw(slots))
+
+    return ParallelCorpus(pairs=tuple(
+        (sentence(), sentence()) for _ in range(draw(st.integers(1, 6)))
+    ))
+
+
+def _pairs(*pairs):
+    return ParallelCorpus(pairs=tuple((tuple(s.split()), tuple(t.split())) for s, t in pairs))
+
+
+@st.composite
 def tables(draw):
     """A table over words "a".."e" (and NULL, which may be missing) whose
     values come from a small pool shared by every row: ties across rows and
@@ -144,6 +165,22 @@ class TestTraining:
                 table = model1.train_model1(corpus, direction, k)
                 assert table.probs == em_loop_oracle(corpus, direction, k)
 
+    # in each example the target side holds a group of hapaxes (x, y, z)
+    @given(corpus=hapax_corpora())
+    # a word seen twice between two members
+    @example(corpus=_pairs(("a b", "x c y"), ("b", "c")))
+    # a member at the sentence end
+    @example(corpus=_pairs(("a b", "x y c z"), ("a", "c")))
+    # a repeated conditioning word
+    @example(corpus=_pairs(("a b a", "x y"), ("b", "c")))
+    # a first token that is not a hapax
+    @example(corpus=_pairs(("a", "c x y"), ("a b", "c")))
+    def test_hapax_groups_equal_loop_reference_exactly(self, corpus):
+        for direction in (model1.TGT_TO_SRC, model1.SRC_TO_TGT):
+            for k in range(1, 7):
+                table = model1.train_model1(corpus, direction, k)
+                assert table.probs == em_loop_oracle(corpus, direction, k)
+
     def test_cell_whose_probability_reaches_zero_is_left_out(self):
         """One probability underflows to exactly 0.0 before the last
         iteration: tgt_to_src keeps 13 of its 14 co-occurring cells."""
@@ -163,8 +200,10 @@ class TestTraining:
 
     def test_peak_memory_is_a_small_multiple_of_the_table(self):
         """EM holds the layout, two float lists and each row's words at its
-        peak; the table is built after the layout is freed. About 62k cells:
-        the peak stays within 2.6 times the table's own size."""
+        peak; the table is built after the layout is freed. About 60k table
+        entries, most of them hapaxes that share a group cell: the peak stays
+        within 2.1 times the table's own size (2.05 on CPython 3.11-3.13,
+        1.80 on 3.10; 2.35 with one cell per hapax)."""
         rng = random.Random(0)
 
         def sentence(prefix):
@@ -190,7 +229,7 @@ class TestTraining:
             if not was_tracing:
                 tracemalloc.stop()
         assert sum(map(len, table.probs.values())) > 55_000
-        assert (peak - base) / (size - base) <= 2.6
+        assert (peak - base) / (size - base) <= 2.1
 
     def test_deterministic_bit_identical(self):
         rng = random.Random(5)
