@@ -158,15 +158,8 @@ class TestTraining:
                     prob, abs=1e-9
                 )
 
-    @given(corpus=corpora())
-    def test_equals_loop_reference_exactly(self, corpus):
-        for direction in (model1.TGT_TO_SRC, model1.SRC_TO_TGT):
-            for k in range(1, 7):
-                table = model1.train_model1(corpus, direction, k)
-                assert table.probs == em_loop_oracle(corpus, direction, k)
-
-    # in each example the target side holds a group of hapaxes (x, y, z)
-    @given(corpus=hapax_corpora())
+    @given(corpus=st.one_of(corpora(), hapax_corpora()))
+    # in each example the target side holds a group of hapaxes (x, y, z):
     # a word seen twice between two members
     @example(corpus=_pairs(("a b", "x c y"), ("b", "c")))
     # a member at the sentence end
@@ -175,7 +168,7 @@ class TestTraining:
     @example(corpus=_pairs(("a b a", "x y"), ("b", "c")))
     # a first token that is not a hapax
     @example(corpus=_pairs(("a", "c x y"), ("a b", "c")))
-    def test_hapax_groups_equal_loop_reference_exactly(self, corpus):
+    def test_equals_loop_reference_exactly(self, corpus):
         for direction in (model1.TGT_TO_SRC, model1.SRC_TO_TGT):
             for k in range(1, 7):
                 table = model1.train_model1(corpus, direction, k)
@@ -202,8 +195,8 @@ class TestTraining:
         """EM holds the layout, two float lists and each row's words at its
         peak; the table is built after the layout is freed. About 60k table
         entries, most of them hapaxes that share a group cell: the peak stays
-        within 2.1 times the table's own size (2.05 on CPython 3.11-3.13,
-        1.80 on 3.10; 2.35 with one cell per hapax)."""
+        within 2.1 times the table's own size (2.06 on CPython 3.11-3.13,
+        1.58 on 3.10; 2.35 with one cell per hapax)."""
         rng = random.Random(0)
 
         def sentence(prefix):
