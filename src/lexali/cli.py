@@ -1,10 +1,10 @@
 """Command line front end.
 
 Every subcommand reads and writes fixed artifact names inside the working
-directory given by --out, so running the full pipeline is byte-identical to
-chaining the individual subcommands by hand. Each stage option is declared
-once, in OPTIONS, as the add_argument keywords of its flag: argparse parses,
-defaults and requires every option.
+directory given by --out, declared once per stage in STAGES, so running the
+full pipeline is byte-identical to chaining the individual subcommands by
+hand. Each stage option is declared once, in OPTIONS, as the add_argument
+keywords of its flag: argparse parses, defaults and requires every option.
 Every command that writes into --out, the pipeline and each stage, holds a
 lock file there while it runs; the pipeline also records a manifest of
 artifact checksums.
@@ -50,26 +50,6 @@ AUG_TGT = "augmented.tgt"
 AUG_MANIFEST = "augmented.manifest.tsv"
 RUN_MANIFEST = "manifest.json"
 LOCK_FILE = "LOCK"
-
-PIPELINE_ARTIFACTS = (
-    TABLE_T2S,
-    TABLE_S2T,
-    ALIGN_T2S,
-    ALIGN_S2T,
-    ALIGN_INTERSECT,
-    LEXICON,
-    LEX_WORDS,
-    ALI_WORDS,
-    MERGES,
-    SRC_BPE,
-    TGT_BPE,
-    LEX_BPE,
-    ALI_BPE,
-    TGT_VOCAB,
-    AUG_SRC,
-    AUG_TGT,
-    AUG_MANIFEST,
-)
 
 _UTILITY_ALIASES = {
     "chrf": "chrf",
@@ -134,19 +114,29 @@ OPTIONS: dict[str, dict[str, object]] = {
     "vocab_threshold": dict(type=partial(_parse_int, key="vocab_threshold", minimum=1), default="1"),
 }
 
-# The stage subcommands in pipeline order, each with its help text and the
-# options it takes. Subcommand "x-y" runs the module function stage_x_y,
-# looked up by name at call time.
-STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
-    "align": ("train both translation tables and align", ("src", "tgt", "out", "iterations")),
-    "symmetrize": ("intersect the two alignment files", ("src", "tgt", "out")),
-    "lexicon": ("extract the bilingual lexicon", ("src", "tgt", "out")),
-    "lex": ("translate the source word for word", ("src", "out")),
-    "ali": ("reorder the lex sequence into target order", ("tgt", "out")),
-    "bpe-learn": ("learn byte-pair merges", ("src", "tgt", "out", "merges")),
-    "bpe-apply": ("apply the learned merges everywhere", ("src", "tgt", "out", "vocab_threshold")),
-    "augment": ("emit permutation training examples", ("out", "segments", "mode")),
+# The stage subcommands in pipeline order, each with its help text, the
+# options it takes, the artifacts it may read from --out, in the order it
+# reads them, and the artifacts it writes there. Subcommand "x-y" runs the
+# module function stage_x_y, looked up by name at call time.
+STAGES: dict[str, tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
+    "align": ("train both translation tables and align", ("src", "tgt", "out", "iterations"),
+              (), (TABLE_T2S, TABLE_S2T, ALIGN_T2S, ALIGN_S2T)),
+    "symmetrize": ("intersect the two alignment files", ("src", "tgt", "out"),
+                   (ALIGN_T2S, ALIGN_S2T), (ALIGN_INTERSECT,)),
+    "lexicon": ("extract the bilingual lexicon", ("src", "tgt", "out"),
+                (ALIGN_INTERSECT,), (LEXICON,)),
+    "lex": ("translate the source word for word", ("src", "out"), (LEXICON,), (LEX_WORDS,)),
+    "ali": ("reorder the lex sequence into target order", ("tgt", "out"),
+            (LEX_WORDS, ALIGN_T2S), (ALI_WORDS,)),
+    "bpe-learn": ("learn byte-pair merges", ("src", "tgt", "out", "merges"), (), (MERGES,)),
+    "bpe-apply": ("apply the learned merges everywhere", ("src", "tgt", "out", "vocab_threshold"),
+                  (MERGES, LEX_WORDS, ALI_WORDS), (SRC_BPE, TGT_BPE, LEX_BPE, ALI_BPE, TGT_VOCAB)),
+    # only the sides --segments names are read
+    "augment": ("emit permutation training examples", ("out", "segments", "mode"),
+                (SRC_BPE, TGT_BPE, LEX_BPE, ALI_BPE), (AUG_SRC, AUG_TGT, AUG_MANIFEST)),
 }
+
+PIPELINE_ARTIFACTS = tuple(name for *_, writes in STAGES.values() for name in writes)
 
 
 # ---------------------------------------------------------------- stages
@@ -493,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                 **option,
             )
 
-    for command, (help_text, names) in STAGES.items():
+    for command, (help_text, names, _, _) in STAGES.items():
         add_options(add(command, "cmd_stage", help_text), names)
 
     sub = add("extract", "cmd_extract", "slice one segment out of decoded output")

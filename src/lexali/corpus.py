@@ -45,7 +45,7 @@ def read_lines(path: str | Path) -> list[str]:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise LexaliError(f"cannot read {path}: {exc}") from exc
+        raise LexaliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         lines = raw.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:

@@ -1,5 +1,6 @@
 """Command line behavior: option handling, stages, determinism, errors."""
 
+import functools
 import gc
 import hashlib
 import json
@@ -348,9 +349,9 @@ class TestPipeline:
         assert capsys.readouterr().err == ""
 
     def test_rerun_is_byte_identical(self, tmp_path, toy_args):
-        run(["pipeline", *toy_args])
+        assert run(["pipeline", *toy_args]) == 0
         first = (tmp_path / "run" / cli.RUN_MANIFEST).read_bytes()
-        run(["pipeline", *toy_args])
+        assert run(["pipeline", *toy_args]) == 0
         second = (tmp_path / "run" / cli.RUN_MANIFEST).read_bytes()
         assert first == second
 
@@ -417,22 +418,11 @@ class TestPipeline:
         assert manifest["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
     def test_pipeline_equals_chained_subcommands(self, tmp_path):
-        src = data_path("toy.src")
-        tgt = data_path("toy.tgt")
         a = tmp_path / "a"
         b = tmp_path / "b"
-        run(["pipeline", "--src", src, "--tgt", tgt, "--out", a])
-        for argv in (
-            ["align", "--src", src, "--tgt", tgt, "--out", b],
-            ["symmetrize", "--src", src, "--tgt", tgt, "--out", b],
-            ["lexicon", "--src", src, "--tgt", tgt, "--out", b],
-            ["lex", "--src", src, "--out", b],
-            ["ali", "--tgt", tgt, "--out", b],
-            ["bpe-learn", "--src", src, "--tgt", tgt, "--out", b],
-            ["bpe-apply", "--src", src, "--tgt", tgt, "--out", b],
-            ["augment", "--out", b],
-        ):
-            assert run(argv) == 0, argv
+        assert run(toy_argv("pipeline", a)) == 0
+        for command in cli.STAGES:
+            assert run(toy_argv(command, b)) == 0, command
         for name in cli.PIPELINE_ARTIFACTS:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         # no *.tmp and no LOCK is left behind in either directory
@@ -442,14 +432,14 @@ class TestPipeline:
         assert sorted(p.name for p in b.iterdir()) == sorted(cli.PIPELINE_ARTIFACTS)
 
     def test_augmented_line_count(self, tmp_path, toy_args):
-        run(["pipeline", *toy_args])
+        assert run(["pipeline", *toy_args]) == 0
         # 2 sentences, 3 segments, full mode: 2 * 3! examples
         for name in (cli.AUG_SRC, cli.AUG_TGT, cli.AUG_MANIFEST):
             lines = (tmp_path / "run" / name).read_text().splitlines()
             assert len(lines) == 12, name
 
     def test_simple_mode_has_no_control_token(self, tmp_path, toy_args):
-        run(["pipeline", *toy_args, "--mode", "simple"])
+        assert run(["pipeline", *toy_args, "--mode", "simple"]) == 0
         for name in (cli.AUG_SRC, cli.AUG_TGT, cli.AUG_MANIFEST):
             lines = (tmp_path / "run" / name).read_text().splitlines()
             assert len(lines) == 2, name
@@ -776,11 +766,102 @@ class TestPipeline:
             "error: cannot build a vocabulary from an empty corpus\n"
         )
 
-    def test_subcommand_missing_artifacts_fails(self, tmp_path, capsys):
-        # ali requires earlier artifacts; point at an empty directory
-        assert run(["ali", "--tgt", data_path("toy.tgt"), "--out", tmp_path]) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err
+    @pytest.mark.parametrize("command", [c for c, (*_, reads, _) in cli.STAGES.items() if reads])
+    def test_subcommand_missing_artifacts_fails(self, tmp_path, capsys, command):
+        """On an empty --out, a stage fails on the first file it reads from
+        there, and leaves the directory empty."""
+        out = tmp_path / "run"
+        out.mkdir()
+        assert run(toy_argv(command, out)) == 1
+        first = out / cli.STAGES[command][2][0]
+        assert capsys.readouterr().err == (
+            f"error: cannot read {first}: No such file or directory\n"
+        )
+        assert list(out.iterdir()) == []
+
+
+# ("read", path) for each file opened for reading and ("write", path) for
+# each rename target, on the list observed_io sets here for one call; an
+# audit hook cannot be removed, so it records nothing while no list is set
+_FILE_EVENTS: list[list[tuple[str, object]]] = []
+
+
+def _record_file_event(event, args):
+    if not _FILE_EVENTS:
+        return
+    if event == "open" and isinstance(args[1], str) and "r" in args[1]:
+        _FILE_EVENTS[-1].append(("read", args[0]))
+    elif event == "os.rename":
+        _FILE_EVENTS[-1].append(("write", args[1]))
+
+
+@functools.cache
+def _install_file_audit_hook():
+    sys.addaudithook(_record_file_event)
+
+
+def observed_io(argv, out):
+    """The exit code of the call, the names of the files in ``out`` it reads,
+    in the order it opens them, and the names it renames into place there;
+    LOCK is left out. Every module opens and renames files itself, so an
+    audit hook sees them whichever helper a module imported."""
+    _install_file_audit_hook()
+    events = []
+    _FILE_EVENTS.append(events)
+    try:
+        code = run(argv)
+    finally:
+        _FILE_EVENTS.pop()
+    where = os.path.realpath(out)
+    files = {"read": [], "write": []}
+    for kind, path in events:
+        if isinstance(path, (str, bytes, os.PathLike)):
+            directory, name = os.path.split(os.path.realpath(os.fsdecode(path)))
+            if directory == where and name != cli.LOCK_FILE:
+                files[kind].append(name)
+    return code, files["read"], files["write"]
+
+
+class TestDeclaredFiles:
+    """Each stage reads from --out only the artifacts STAGES declares, in
+    its order, and writes exactly the ones it declares."""
+
+    @pytest.mark.parametrize("command", cli.STAGES)
+    def test_stage_reads_and_writes_what_it_declares(self, tmp_path, command):
+        out = tmp_path / "run"
+        assert run(toy_argv("pipeline", out)) == 0
+        _, _, reads, writes = cli.STAGES[command]
+        code, read, written = observed_io(toy_argv(command, out), out)
+        assert code == 0
+        assert read == list(reads)
+        assert sorted(written) == sorted(writes)
+
+    def test_pipeline_reads_and_writes_what_its_stages_declare(self, tmp_path):
+        out = tmp_path / "run"
+        code, read, written = observed_io(toy_argv("pipeline", out), out)
+        assert code == 0
+        # each stage's reads, then every artifact once for the manifest
+        stage_reads = [name for *_, reads, _ in cli.STAGES.values() for name in reads]
+        assert read == [*stage_reads, *cli.PIPELINE_ARTIFACTS]
+        assert sorted(written) == sorted([*cli.PIPELINE_ARTIFACTS, cli.RUN_MANIFEST])
+        assert len(set(cli.PIPELINE_ARTIFACTS)) == len(cli.PIPELINE_ARTIFACTS)
+
+    def test_readme_table_names_each_declared_file(self):
+        """Each stage row of the README's Subcommands table names its
+        declared reads, in order, and its declared writes."""
+        readme = Path(__file__).parents[1] / "README.md"
+        rows = {}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split(" | ")]
+            if len(cells) == 4 and (command := cells[0].strip("`")) in cli.STAGES:
+                rows[command] = [
+                    [name for name in re.findall(r"`([^`]+)`", cell) if not name.startswith("-")]
+                    for cell in cells[2:]
+                ]
+        assert rows == {
+            command: [list(reads), list(writes)]
+            for command, (*_, reads, writes) in cli.STAGES.items()
+        }
 
 
 class TestDecodingCommands:
