@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Sentence
 from .errors import LexaliError
@@ -27,8 +27,7 @@ from .errors import LexaliError
 MAX_ORDER = 4
 
 
-@dataclass(frozen=True)
-class BleuReport:
+class BleuReport(NamedTuple):
     score: float
     precisions: tuple[float, float, float, float]
     brevity_penalty: float

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Sentence, read_lines, write_lines
@@ -45,20 +44,22 @@ _VERSION_LINE = "#version: lexali-bpe 1"
 Pair = tuple[str, str]
 
 
-@dataclass
 class MergeTable:
     """Ordered merge operations; earlier entries have lower rank."""
 
-    merges: tuple[Pair, ...]
-    ranks: dict[Pair, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.ranks = {pair: rank for rank, pair in enumerate(self.merges)}
-        if len(self.ranks) != len(self.merges):
+    def __init__(self, merges: tuple[Pair, ...]) -> None:
+        self.merges = merges
+        self.ranks = {pair: rank for rank, pair in enumerate(merges)}
+        if len(self.ranks) != len(merges):
             raise LexaliError("merge table contains duplicate pairs")
 
     def __len__(self) -> int:
         return len(self.merges)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MergeTable):
+            return NotImplemented
+        return self.merges == other.merges
 
 
 def _pair_stats(
@@ -140,23 +141,22 @@ def learn_bpe(word_counts: Mapping[str, int], num_merges: int) -> MergeTable:
     return MergeTable(tuple(merges))
 
 
-@dataclass
-class _Piece:
-    symbol: str
-    children: tuple["_Piece", "_Piece"] | None = None
+def _merge_pieces(pieces: list[tuple], pair: Pair) -> list[tuple]:
+    """Merge every non-overlapping occurrence of the pair, left to right.
 
-
-def _merge_pieces(pieces: list[_Piece], pair: Pair) -> list[_Piece]:
+    A piece is a (symbol, children) tuple, whose children are the two pieces
+    it was merged from, or None for a single character.
+    """
     left, right = pair
-    out: list[_Piece] = []
+    out: list[tuple] = []
     i = 0
     while i < len(pieces):
         if (
             i + 1 < len(pieces)
-            and pieces[i].symbol == left
-            and pieces[i + 1].symbol == right
+            and pieces[i][0] == left
+            and pieces[i + 1][0] == right
         ):
-            out.append(_Piece(left + right, (pieces[i], pieces[i + 1])))
+            out.append((left + right, (pieces[i], pieces[i + 1])))
             i += 2
         else:
             out.append(pieces[i])
@@ -165,21 +165,22 @@ def _merge_pieces(pieces: list[_Piece], pair: Pair) -> list[_Piece]:
 
 
 def _emit(
-    piece: _Piece,
+    piece: tuple,
     final: bool,
     vocab: Mapping[str, int] | None,
     threshold: int,
     out: list[str],
 ) -> None:
-    form = piece.symbol if final else piece.symbol + CONTINUATION_MARKER
+    symbol, children = piece
+    form = symbol if final else symbol + CONTINUATION_MARKER
     if vocab is None or vocab.get(form, 0) >= threshold:
         out.append(form)
         return
-    if piece.children is None:
+    if children is None:
         # single character with no merge to revert; keep it even if unknown
         out.append(form)
         return
-    left, right = piece.children
+    left, right = children
     _emit(left, False, vocab, threshold, out)
     _emit(right, final, vocab, threshold, out)
 
@@ -197,11 +198,11 @@ def split_word(
     character symbols alone.
     """
     ranks = table.ranks
-    pieces = [_Piece(ch) for ch in word]
+    pieces = [(ch, None) for ch in word]
     while len(pieces) > 1:
         best_rank: int | None = None
         for i in range(len(pieces) - 1):
-            rank = ranks.get((pieces[i].symbol, pieces[i + 1].symbol))
+            rank = ranks.get((pieces[i][0], pieces[i + 1][0]))
             if rank is not None and (best_rank is None or rank < best_rank):
                 best_rank = rank
         if best_rank is None:

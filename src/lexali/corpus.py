@@ -24,17 +24,16 @@ import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sized
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import LexaliError
 
 Sentence = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ParallelCorpus:
+class ParallelCorpus(NamedTuple):
     """Line-aligned source/target sentences at the word level."""
 
     pairs: tuple[tuple[Sentence, Sentence], ...]

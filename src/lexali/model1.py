@@ -54,11 +54,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .corpus import ParallelCorpus, Sentence, read_lines, write_lines
 from .errors import LexaliError
@@ -80,8 +79,7 @@ Layout = tuple[tuple[int, ...], tuple[tuple[int, ...] | None, ...]]
 Run = tuple[list[Layout], tuple[Layout, tuple[int, ...]] | None]
 
 
-@dataclass(frozen=True)
-class TranslationTable:
+class TranslationTable(NamedTuple):
     """t(emitted | conditioning) for one direction; missing entries are 0."""
 
     direction: Direction
@@ -319,24 +317,24 @@ def write_alignments(alignments: Iterable[Links], path: str | Path) -> None:
 
 
 def _read_pharaoh(
-    path: str | Path,
-    lengths: Sequence[tuple[int, int]],
-    sides: tuple[str, str] = ("conditioning", "emitted"),
-) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Yield each line's number and its "i-j" cells as (i, j) pairs.
+    path: str | Path, lengths: Sequence[tuple[int, int]], one_to_one: bool = False
+) -> Iterator[Links]:
+    """Yield each line's "i-j" cells as links: per emitted position j its
+    conditioning position i, or None.
 
-    ``lengths`` holds one (i, j) bound pair per expected line, and ``sides``
-    names the two positions in messages. A line count other than
-    len(lengths) names the file; a cell that is not two runs of ASCII digits,
-    or a position at or past its bound, names path:line. Rules on repeated
-    positions belong to the callers.
+    ``lengths`` holds one (i, j) bound pair per expected line. A line count
+    other than len(lengths) names the file. Every other fault names
+    path:line: a cell that is not two runs of ASCII digits, or a position at
+    or past its bound, and then, in cell order, an emitted position linked
+    twice. A ``one_to_one`` file, the intersection, names its sides source
+    and target and checks each cell's source position before its target.
     """
     lines = read_lines(path)
     if len(lines) != len(lengths):
         raise LexaliError(
             f"{path}: {len(lines)} lines for {len(lengths)} sentence pairs"
         )
-    left, right = sides
+    left, right = ("source", "target") if one_to_one else ("conditioning", "emitted")
     for lineno, (line, (i_bound, j_bound)) in enumerate(zip(lines, lengths), start=1):
         cells = []
         for cell in line.split():
@@ -356,7 +354,17 @@ def _read_pharaoh(
                     f"range for {right} length {j_bound}"
                 )
             cells.append((i, j))
-        yield lineno, cells
+        links: list[int | None] = [None] * j_bound
+        sources: set[int] = set()
+        for i, j in cells:
+            if one_to_one:
+                if i in sources:
+                    raise LexaliError(f"{path}:{lineno}: {left} position {i} linked twice")
+                sources.add(i)
+            if links[j] is not None:
+                raise LexaliError(f"{path}:{lineno}: {right} position {j} linked twice")
+            links[j] = i
+        yield tuple(links)
 
 
 def read_alignment_maps(
@@ -365,14 +373,4 @@ def read_alignment_maps(
     """Parse a directional Pharaoh file, one (conditioning, emitted) length
     pair per line, back into links; each emitted position appears at most
     once per line."""
-    alignments: list[Links] = []
-    for lineno, cells in _read_pharaoh(path, lengths):
-        links: list[int | None] = [None] * lengths[lineno - 1][1]
-        for conditioning, emitted in cells:
-            if links[emitted] is not None:
-                raise LexaliError(
-                    f"{path}:{lineno}: emitted position {emitted} linked twice"
-                )
-            links[emitted] = conditioning
-        alignments.append(tuple(links))
-    return alignments
+    return list(_read_pharaoh(path, lengths))

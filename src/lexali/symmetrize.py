@@ -11,8 +11,8 @@ ties broken by the lexicographically smallest target word.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import ParallelCorpus, read_lines, write_lines
 from .errors import LexaliError
@@ -22,8 +22,7 @@ Link = tuple[int, int]
 OneToOneAlignment = frozenset[Link]
 
 
-@dataclass(frozen=True)
-class BilingualLexicon:
+class BilingualLexicon(NamedTuple):
     """Per source word, its best target word and that link's count."""
 
     entries: dict[str, tuple[str, int]]
@@ -81,23 +80,10 @@ def read_links(
     """Parse "i-j" lines, one (source, target) length pair per line; each
     source and each target position appears at most once per line, as
     intersection produces them."""
-    alignments: list[OneToOneAlignment] = []
-    for lineno, cells in _read_pharaoh(path, lengths, ("source", "target")):
-        links: dict[int, int] = {}
-        targets: set[int] = set()
-        for i, j in cells:
-            if i in links:
-                raise LexaliError(
-                    f"{path}:{lineno}: source position {i} linked twice"
-                )
-            if j in targets:
-                raise LexaliError(
-                    f"{path}:{lineno}: target position {j} linked twice"
-                )
-            links[i] = j
-            targets.add(j)
-        alignments.append(frozenset(links.items()))
-    return alignments
+    return [
+        frozenset((i, j) for j, i in enumerate(links) if i is not None)
+        for links in _read_pharaoh(path, lengths, one_to_one=True)
+    ]
 
 
 def write_lexicon(lexicon: BilingualLexicon, path: str | Path) -> None:

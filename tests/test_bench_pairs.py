@@ -70,6 +70,27 @@ def test_zero_parent_median_gives_no_change():
     assert bench_pairs.summarize(runs, METRICS)["w"]["metrics"]["round_s"]["median_change"] == 0.0
 
 
+def test_median_place_against_the_parents_quartiles():
+    """The change's median against the parent's [Q1, Q3] = [2.0, 4.0], in the
+    metric's direction; a median on a bound is inside."""
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    for change, lower, higher in [
+        ([1.0, 1.0, 1.5, 9.0, 9.0], "better", "worse"),
+        ([1.0, 1.0, 2.0, 9.0, 9.0], "inside", "inside"),
+        ([0.0, 0.0, 4.0, 9.0, 9.0], "inside", "inside"),
+        ([0.0, 0.0, 4.5, 9.0, 9.0], "worse", "better"),
+    ]:
+        # both metrics read the same values, in opposite directions
+        runs = [run("w", seed, side, value, links=value)
+                for seed, pair in enumerate(zip(parent, change))
+                for side, value in zip(("parent", "change"), pair)]
+        rows = bench_pairs.summarize(runs, METRICS)["w"]["metrics"]
+        assert (rows["round_s"]["median_place"], rows["links"]["median_place"]) == (
+            lower, higher)
+    line = bench_pairs.report(bench_pairs.summarize(runs, METRICS)).splitlines()[1]
+    assert line.startswith("  round_s") and line.endswith("  median worse")
+
+
 def test_failed_and_correct_cover_both_sides_per_workload():
     runs = paired("a", parent=[1.0, 1.0], change=[1.0, 1.0])
     runs[0]["result"]["failed"] = 2  # seed 0, parent

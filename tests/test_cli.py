@@ -1148,6 +1148,19 @@ def test_module_entry_point(tmp_path):
     )
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every stage runs as its own short process, and a dataclass generates
+    and compiles its methods on each import: importing the CLI in a new
+    interpreter must load neither ``dataclasses`` nor ``inspect``. Only the
+    modules the import itself loads count, not those of interpreter start-up."""
+    probe = ("import sys; before = set(sys.modules); import lexali.cli; "
+             "print(*sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))")
+    src = Path(cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout == b"\n"
+
+
 def test_missing_input_file_exits_cleanly(tmp_path, capsys):
     assert run([
         "align", "--src", tmp_path / "none.src",

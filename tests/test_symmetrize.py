@@ -264,6 +264,31 @@ def test_links_file_repeated_position_rejected(tmp_path, line, position):
         symmetrize.read_links(path, [(1, 1), (2, 2)])
 
 
+@pytest.mark.parametrize(
+    "line, faults",
+    [
+        ("0-0 0-0 x", ("bad link 'x'", "bad link 'x'")),
+        ("0-0 1-0 9-0", ("link 9 out of range for conditioning length 3",
+                         "link 9 out of range for source length 3")),
+        ("1-1 0-1 1-0", ("emitted position 1 linked twice",
+                         "target position 1 linked twice")),
+        ("0-0 0-1 1-1", ("emitted position 1 linked twice",
+                         "source position 0 linked twice")),
+    ],
+)
+@pytest.mark.parametrize("reader", [0, 1], ids=["directional", "intersection"])
+def test_link_line_reports_its_first_fault(tmp_path, reader, line, faults):
+    """A bad or out-of-range cell is reported before a repeated position,
+    and repeats in cell order; the intersection checks each cell's source
+    position before its target position."""
+    read = (model1.read_alignment_maps, symmetrize.read_links)[reader]
+    path = tmp_path / "links.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(LexaliError) as error:
+        read(path, [(3, 3)])
+    assert str(error.value) == f"{path}:1: {faults[reader]}"
+
+
 def test_lexicon_file_round_trip(tmp_path):
     lexicon = symmetrize.BilingualLexicon(
         entries={"haus": ("house", 2), "alt": ("old", 1)}

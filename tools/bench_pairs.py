@@ -17,8 +17,9 @@ each one BENCHMARK.json lists) and every pair i, both sides run
 each from its own copy; the parent goes first in even pairs and the working
 tree in odd ones, so a drift of the host's speed does not favour one side.
 The program prints, per workload and end-to-end metric, the median and
-quartiles (inclusive method) of both sides, the median change and the pairs
-the working tree won, tied and lost, and writes every run's final JSON line
+quartiles (inclusive method) of both sides, the median change, the pairs
+the working tree won, tied and lost, and whether the working tree's median
+is better than, inside or worse than the parent's [Q1, Q3], and writes every run's final JSON line
 with its seed, seconds and side to BENCH_<N>.json at the repository root,
 with the sha256 of this program as ``tool_sha256``, so that a change of the
 harness between two records can be told from a change of the code.
@@ -91,8 +92,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric: both sides' quartiles, the median change and
-    the working tree's wins, ties and losses over the pairs."""
+    """Per workload and metric: both sides' quartiles, the median change,
+    the working tree's wins, ties and losses over the pairs, and where its
+    median falls against the parent's [Q1, Q3]: "better", "inside" or
+    "worse" in the metric's direction, the bounds counting as inside."""
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict] = {}
@@ -119,6 +122,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 for parent, change in zip(values["parent"], values["change"])
             ]
             parent_q, change_q = quartiles(values["parent"]), quartiles(values["change"])
+            median = change_q[1]
+            if parent_q[0] <= median <= parent_q[2]:
+                place = "inside"
+            else:
+                place = "better" if (median < parent_q[0]) == (direction == 1) else "worse"
             rows[name] = {
                 "parent": parent_q,
                 "change": change_q,
@@ -126,6 +134,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "wins": signs.count(1),
                 "ties": signs.count(0),
                 "losses": signs.count(-1),
+                "median_place": place,
             }
     return summary
 
@@ -141,6 +150,7 @@ def report(summary: dict) -> str:
                 f"  change {change[1]:.4f} [{change[0]:.4f}, {change[2]:.4f}]"
                 f"  {100 * row['median_change']:+.1f} %"
                 f"  won {row['wins']}, tied {row['ties']}, lost {row['losses']}"
+                f"  median {row['median_place']}"
             )
     return "\n".join(lines)
 
