@@ -24,7 +24,7 @@ plus, per emitted token, the tuple of cell ids its candidates index. At its
 peak EM holds this layout, the flat ``probs`` and ``counts`` lists and each
 row's emitted words as a tuple; the M-step divides ``counts`` in place, and
 the table is built after the layout and ``probs`` are freed. Hapax groups
-(below) shrink all three.
+and row groups (below) shrink all three.
 
 Floating-point addition is not associative, so the arithmetic order is part
 of the result. Each denominator is summed left to right in candidate order
@@ -48,6 +48,18 @@ get the same adds in the same order as with a cell per member, whose cells
 would have got exactly the group cells' adds; the table gives every member
 its group cell's float. Members after the first follow a row's other keys,
 so only the key order differs.
+
+Conditioning words seen once are grouped the same way. Two or more in one
+sentence pair form a row group, represented by the first, which replaces
+them all when rows are interned. A member's row would co-occur with that
+sentence pair only, so its uniform start, its shares, counts and total would
+be the representative's floats at every iteration. Each emitted token keeps
+its full tuple of cells for the denominator, the representative's cell at
+every member's place, and a second tuple without the members' places for the
+adds, so a conditioning word that repeats in a sentence still adds once per
+place. The table gives every member its own copy of the representative's
+row. The group's one row is numbered like any other, so each row's cells
+stay contiguous.
 """
 
 from __future__ import annotations
@@ -72,11 +84,14 @@ SRC_TO_TGT: Direction = "src_to_tgt"
 Links = tuple[int | None, ...]
 
 # one sentence pair: candidate row ids, then per emitted token its cell ids
-# (None for a group member after the representative)
-Layout = tuple[tuple[int, ...], tuple[tuple[int, ...] | None, ...]]
-# pairs without a group, then the next pair with one and its representative's
-# cell ids, or None at the end
-Run = tuple[list[Layout], tuple[Layout, tuple[int, ...]] | None]
+Layout = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+# a sentence pair with a group: the row ids that add; per emitted token its
+# cell ids for the denominator, then the cell ids that add (both None for a
+# group member after the representative); the representative's cell ids
+Grouped = tuple[tuple[int, ...], tuple[tuple[int, ...] | None, ...],
+                tuple[tuple[int, ...] | None, ...], tuple[int, ...] | None]
+# pairs without a group, then the next pair with one, or None at the end
+Run = tuple[list[Layout], Grouped | None]
 
 
 class TranslationTable(NamedTuple):
@@ -102,7 +117,7 @@ def train_model1(
     pairs = corpus.pairs
     if direction == SRC_TO_TGT:
         pairs = tuple((tgt, src) for src, tgt in pairs)
-    words, rows, layout, groups = _intern_cells(pairs)
+    words, rows, layout, groups, row_groups = _intern_cells(pairs)
     probs: list[float] = []
     for _, _, emitted, n_words in rows:
         probs += [1.0 / n_words] * len(emitted)
@@ -138,30 +153,48 @@ def train_model1(
             row_probs = table.get(words[row], {})
             if members[0] in row_probs:
                 row_probs.update(dict.fromkeys(members, row_probs[members[0]]))
+    # and every member of a row group its representative's row
+    for rep, *members in row_groups:
+        if rep in table:
+            for e in members:
+                table[e] = table[rep].copy()
     return TranslationTable(direction=direction, probs=table)
 
 
 def _intern_cells(
     pairs: Sequence[tuple[Sentence, Sentence]],
 ) -> tuple[list[str], list[tuple[int, int, tuple[str, ...], int]], list[Run],
-           list[tuple[tuple[int, ...], tuple[str, ...]]]]:
+           list[tuple[tuple[int, ...], tuple[str, ...]]], list[tuple[str, ...]]]:
     """Number every co-occurring (conditioning, emitted) word pair, a group
-    taking one cell per row.
+    taking one cell per row and a row group one row.
 
     Returns the conditioning words by row id; per row with cells its id,
     first cell, emitted words in cell order and number of words, group
-    members included; the layout in runs; and per group its distinct rows
-    and its members in sentence order.
+    members included; the layout in runs; per group its distinct rows and
+    its members in sentence order; and each row group's members in sentence
+    order.
     """
     hapaxes = {f for f, n in Counter(chain.from_iterable(
         emitted for _, emitted in pairs)).items() if n == 1}
+    # NULL conditions every pair, so a word spelled like it is never seen once
+    row_hapaxes = {e for e, n in Counter(chain.from_iterable(
+        conditioning for conditioning, _ in pairs)).items() if n == 1 and e != NULL_WORD}
     row_ids = {NULL_WORD: 0}
     # per row its emitted words, then each word's cell
     row_cells: list[dict[str, int | None]] = [{}]
     row_members: Counter[int] = Counter()  # members beyond the representatives
     groups = []
+    row_groups = []
     sentences = []
     for conditioning, emitted in pairs:
+        adding = None
+        if row_hapaxes and len(row_group := tuple(filter(row_hapaxes.__contains__, conditioning))) > 1:
+            first = row_group[0]
+            # NULL and every place but a later member's add
+            adding = itemgetter(0, *[i for i, e in enumerate(conditioning, 1)
+                                     if e == first or e not in row_hapaxes])
+            conditioning = [first if e in row_hapaxes else e for e in conditioning]
+            row_groups.append(row_group)
         rows = [0]
         for e in conditioning:
             row = row_ids.get(e)
@@ -178,7 +211,7 @@ def _intern_cells(
         seen = dict.fromkeys(emitted)
         for row in rows:
             row_cells[row].update(seen)
-        sentences.append((tuple(rows), emitted, rep))
+        sentences.append((tuple(rows), emitted, rep, adding))
     row_spans = []
     start = 0
     for row, cells in enumerate(row_cells):
@@ -191,20 +224,26 @@ def _intern_cells(
         start = end
     layout = []
     plain = []
-    for rows, emitted, rep in sentences:
+    for rows, emitted, rep, adding in sentences:
         # itemgetter needs a word, and returns a lone word's cell bare
         get = itemgetter(*emitted) if len(emitted) > 1 else lambda d: [d[f] for f in emitted]
         tokens = tuple(zip(*[get(row_cells[row]) for row in rows]))
-        if rep is None:
+        if rep is None and adding is None:
             plain.append((rows, tokens))
             continue
-        group = tokens[emitted.index(rep)]
-        tokens = tuple([None if f == rep and cells is not group else cells
-                        for f, cells in zip(emitted, tokens)])
-        layout.append((plain, ((rows, tokens), group)))
+        group = None
+        if rep is not None:
+            group = tokens[emitted.index(rep)]
+            tokens = tuple([None if f == rep and cells is not group else cells
+                            for f, cells in zip(emitted, tokens)])
+        adds = tokens
+        if adding is not None:
+            rows = adding(rows)
+            adds = tuple([None if cells is None else adding(cells) for cells in tokens])
+        layout.append((plain, (rows, tokens, adds, group)))
         plain = []
     layout.append((plain, None))
-    return list(row_ids), row_spans, layout, groups
+    return list(row_ids), row_spans, layout, groups, row_groups
 
 
 def _expected_counts(
@@ -230,12 +269,14 @@ def _expected_counts(
     return counts, totals
 
 
-def _add_group_counts(grouped: tuple[Layout, tuple[int, ...]], probs: list[float],
+def _add_group_counts(grouped: Grouped, probs: list[float],
                       counts: list[float], totals: list[float]) -> None:
-    """The E-step of a sentence pair with a group (inlined, it slowed the
-    other pairs' loop by 2 %): later members add to the totals only."""
-    (rows, tokens), group = grouped
-    for cells in tokens:
+    """The E-step of a sentence pair with a group or a row group (inlined, it
+    slowed the other pairs' loop by 2 %): every candidate adds to the
+    denominator, later row group members add nothing, and later group members
+    add the representative's shares to the totals only."""
+    rows, tokens, adds, group = grouped
+    for cells, kept in zip(tokens, adds):
         if cells is None:
             for row, share in zip(rows, replayed):
                 totals[row] += share
@@ -243,12 +284,16 @@ def _add_group_counts(grouped: tuple[Layout, tuple[int, ...]], probs: list[float
         denom = 0.0
         for cell in cells:
             denom += probs[cell]
-        shares = [probs[cell] / denom for cell in cells] if denom != 0.0 else []
-        for row, cell, share in zip(rows, cells, shares):
-            counts[cell] += share
-            totals[row] += share
         if cells is group:
-            replayed = shares
+            replayed = [probs[cell] / denom for cell in kept] if denom != 0.0 else []
+            for row, cell, share in zip(rows, kept, replayed):
+                counts[cell] += share
+                totals[row] += share
+        elif denom != 0.0:
+            for row, cell in zip(rows, kept):
+                share = probs[cell] / denom
+                counts[cell] += share
+                totals[row] += share
 
 
 def viterbi_align(

@@ -4,7 +4,12 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
+import signal
 import subprocess
+import sys
+import time
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -134,22 +139,30 @@ print(json.dumps({"failed": 0, "correct": True,
 '''
 
 
-def test_record_holds_tool_hash_and_runs_without_pycache_prefix(tmp_path, monkeypatch):
-    """main() on a tree whose perfbench/run.py reports its own environment:
-    neither side's run gets a bytecode cache prefix, and the record holds
-    the sha256 of tools/bench_pairs.py."""
+def bench_tree(tmp_path, run_py, workload="w"):
+    """A committed tree with one benchmark workload, whose perfbench/run.py
+    is run_py, and a copy of tools/bench_pairs.py."""
     tree = tmp_path / "tree"
-    (tree / "perfbench").mkdir(parents=True)
-    (tree / "src").mkdir()
-    benchmark = {"workloads": [{"name": "w"}],
+    for folder in ("perfbench", "src", "tools"):
+        (tree / folder).mkdir(parents=True)
+    benchmark = {"workloads": [{"name": workload}],
                  "end_to_end": [{"name": "round_s", "better": "lower"}]}
     (tree / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
-    (tree / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
+    (tree / "perfbench" / "run.py").write_text(run_py, encoding="utf-8")
     (tree / "src" / "code.py").write_text("pass\n", encoding="utf-8")
+    shutil.copy(_PATH, tree / "tools" / "bench_pairs.py")
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
     subprocess.run([*git, "init", "-q"], cwd=tree, check=True)
     subprocess.run([*git, "add", "."], cwd=tree, check=True)
     subprocess.run([*git, "commit", "-q", "-m", "tree"], cwd=tree, check=True)
+    return tree
+
+
+def test_record_holds_tool_hash_and_runs_without_pycache_prefix(tmp_path, monkeypatch):
+    """main() on a tree whose perfbench/run.py reports its own environment:
+    neither side's run gets a bytecode cache prefix, and the record holds
+    the sha256 of tools/bench_pairs.py."""
+    tree = bench_tree(tmp_path, FAKE_RUN)
     monkeypatch.setattr(bench_pairs, "ROOT", tree)
     monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
     assert bench_pairs.main(["--parent", "HEAD", "--number", "7", "--pairs", "2",
@@ -162,3 +175,45 @@ def test_record_holds_tool_hash_and_runs_without_pycache_prefix(tmp_path, monkey
         assert run["result"]["pycache_env"] is None
         assert run["result"]["pycache_prefix"] is None
     assert "PYTHONPYCACHEPREFIX" not in os.environ
+
+
+# a benchmark run that records its process id, then runs far longer than the test
+SLOW_RUN = '''import os, time
+with open({pid_file!r} + ".tmp", "w") as file:
+    file.write(str(os.getpid()))
+os.replace({pid_file!r} + ".tmp", {pid_file!r})
+time.sleep(120)
+'''
+
+
+def test_sigterm_kills_the_run_and_removes_the_copies(tmp_path):
+    """The tool, started on one short decode pair and sent SIGTERM while the
+    first run is under way, exits 143; the run is gone, and so is the
+    temporary directory with both copies."""
+    pid_file = tmp_path / "run.pid"
+    tree = bench_tree(tmp_path, SLOW_RUN.format(pid_file=str(pid_file)), "decode")
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    argv = [sys.executable, "tools/bench_pairs.py", "--parent", "HEAD", "--number", "1",
+            "--workload", "decode", "--pairs", "2", "--seconds", "1"]
+    tool = subprocess.Popen(argv, cwd=tree, env={**os.environ, "TMPDIR": str(temp)},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert tool.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text(encoding="utf-8"))
+        assert [path.name[:12] for path in temp.iterdir()] == ["bench-pairs-"]
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=60) == 128 + signal.SIGTERM
+        assert list(temp.iterdir()) == []
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+    finally:
+        tool.kill()
+        tool.wait()
+        if child is not None:
+            with suppress(ProcessLookupError):
+                os.kill(child, signal.SIGKILL)

@@ -8,8 +8,10 @@ Both sides run from sibling copies in one temporary directory, which is
 always removed at the end: the parent revision exported with ``git
 archive``, and the working tree as it is before the first run (its tracked
 files, uncommitted edits included, and its untracked files that git does
-not ignore). Running the change from the working tree itself read a higher
-peak RSS than the parent with no code change at all. Each side writes its
+not ignore). SIGINT and SIGTERM stop the program the same way: the running
+benchmark is killed and the directory removed, and SIGTERM exits 143.
+Running the change from the working tree itself read a higher peak RSS
+than the parent with no code change at all. Each side writes its
 bytecode into its own copy, as a run from a checkout does; a bytecode cache
 prefix raised every peak RSS by about 2.4 MB. For every workload (default:
 each one BENCHMARK.json lists) and every pair i, both sides run
@@ -38,6 +40,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -211,5 +214,12 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _terminate(signum: int, frame: object) -> None:
+    """Raise on SIGTERM, as Python does on SIGINT, so that subprocess.run
+    kills the running benchmark and the temporary directory is removed."""
+    raise SystemExit(128 + signum)
+
+
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main())
