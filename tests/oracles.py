@@ -223,6 +223,63 @@ def tokenize_oracle(line):
     return words
 
 
+def _file_lines_oracle(path):
+    """A UTF-8 file's lines, scanned character by character: a line ends at
+    each "\\n", and the text after the last one is a line if it is not empty."""
+    lines = []
+    current = []
+    for ch in Path(path).read_bytes().decode("utf-8"):
+        if ch == "\n":
+            lines.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if current:
+        lines.append("".join(current))
+    return lines
+
+
+def _sentence_loop_oracle(line, path, lineno, empty_ok):
+    """One corpus line's tokens; an empty line is reported before a token
+    holding an angle bracket, and the first such token is named."""
+    tokens = tuple(tokenize_oracle(line))
+    if not tokens and not empty_ok:
+        raise ValueError(f"{path}:{lineno}: empty line")
+    for token in tokens:
+        if "<" in token or ">" in token:
+            raise ValueError(
+                f"{path}:{lineno}: token {token!r} contains a reserved angle bracket"
+            )
+    return tokens
+
+
+def load_sentences_loop_oracle(path, empty_ok=False):
+    """``corpus.load_sentences`` line by line: the sentences, or a
+    ValueError with the package's message for the first faulty line."""
+    return [
+        _sentence_loop_oracle(line, path, lineno, empty_ok)
+        for lineno, line in enumerate(_file_lines_oracle(path), start=1)
+    ]
+
+
+def load_parallel_loop_oracle(src_path, tgt_path):
+    """``corpus.load_parallel`` line by line: the (source, target) pairs, or
+    a ValueError with the package's message for the first fault, where the
+    line counts come first and a line's source before its target."""
+    src_lines = _file_lines_oracle(src_path)
+    tgt_lines = _file_lines_oracle(tgt_path)
+    if len(src_lines) != len(tgt_lines):
+        raise ValueError(
+            f"line counts disagree: {src_path}={len(src_lines)}, {tgt_path}={len(tgt_lines)}"
+        )
+    pairs = []
+    for lineno in range(1, len(src_lines) + 1):
+        src = _sentence_loop_oracle(src_lines[lineno - 1], src_path, lineno, False)
+        tgt = _sentence_loop_oracle(tgt_lines[lineno - 1], tgt_path, lineno, False)
+        pairs.append((src, tgt))
+    return tuple(pairs)
+
+
 # ------------------------------------------------------------------ BPE
 
 

@@ -135,6 +135,7 @@ FAKE_RUN = '''import json, os, sys
 print(json.dumps({"failed": 0, "correct": True,
                   "pycache_env": os.environ.get("PYTHONPYCACHEPREFIX"),
                   "pycache_prefix": sys.pycache_prefix,
+                  "dont_write_bytecode": sys.dont_write_bytecode,
                   "metrics": {"round_s": {"value": 1.0}}}))
 '''
 
@@ -175,6 +176,24 @@ def test_record_holds_tool_hash_and_runs_without_pycache_prefix(tmp_path, monkey
         assert run["result"]["pycache_env"] is None
         assert run["result"]["pycache_prefix"] is None
     assert "PYTHONPYCACHEPREFIX" not in os.environ
+
+
+@pytest.mark.parametrize("value", [None, "", "1"])
+def test_record_says_whether_runs_wrote_no_bytecode(tmp_path, monkeypatch, value):
+    """The record's dont_write_bytecode is what every run saw: true when
+    PYTHONDONTWRITEBYTECODE is set to a non-empty string, false when it is
+    unset or empty, as Python reads it."""
+    tree = bench_tree(tmp_path, FAKE_RUN)
+    monkeypatch.setattr(bench_pairs, "ROOT", tree)
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert bench_pairs.main(["--parent", "HEAD", "--number", "7", "--pairs", "2",
+                             "--seconds", "1"]) == 0
+    record = json.loads((tree / "BENCH_7.json").read_text(encoding="utf-8"))
+    assert record["dont_write_bytecode"] is bool(value)
+    assert [run["result"]["dont_write_bytecode"] for run in record["runs"]] == [bool(value)] * 4
 
 
 # a benchmark run that records its process id, then runs far longer than the test

@@ -6,6 +6,8 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from lexali import corpus
 from lexali.errors import LexaliError
-from oracles import tokenize_oracle
+from oracles import load_parallel_loop_oracle, load_sentences_loop_oracle, tokenize_oracle
 
 TOKEN = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
 SENTENCE = st.lists(TOKEN, min_size=1, max_size=8).map(tuple)
@@ -113,6 +115,119 @@ def test_write_load_round_trip(tmp_path_factory, pairs):
     corpus.write_sentences([src for src, _ in pairs], tmp / "s.txt")
     corpus.write_sentences([tgt for _, tgt in pairs], tmp / "t.txt")
     assert corpus.load_parallel(tmp / "s.txt", tmp / "t.txt") == original
+
+
+def same_objects(sentences):
+    """Whether every distinct word in the sentences is one str object."""
+    first = {}
+    return all(first.setdefault(word, word) is word for sentence in sentences for word in sentence)
+
+
+def test_load_parallel_holds_one_object_per_word(tmp_path):
+    # words of two or more characters, which str.split makes anew each time
+    src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+    src.write_text("das haus\ndas buch ist das\n", encoding="utf-8")
+    tgt.write_text("the house das\nthe book is\n", encoding="utf-8")
+    pairs = corpus.load_parallel(src, tgt).pairs
+    assert same_objects(sentence for pair in pairs for sentence in pair)
+    # across lines and across the two sides
+    assert pairs[0][0][0] is pairs[1][0][0] is pairs[1][0][3] is pairs[0][1][2]
+
+
+def test_load_sentences_holds_one_object_per_word(tmp_path):
+    path = tmp_path / "ali.txt"
+    path.write_text("aa bb\n\nbb aa bb\n", encoding="utf-8")
+    sentences = corpus.load_sentences(path, empty_ok=True)
+    assert sentences == [("aa", "bb"), (), ("bb", "aa", "bb")]
+    assert same_objects(sentences)
+    assert sentences[0][1] is sentences[2][0] is sentences[2][2]
+
+
+def traced_size(read):
+    """The memory tracemalloc traces for what read() returns, while it is held."""
+    tracemalloc.start()
+    try:
+        held = read()  # noqa: F841 -- held while the size is taken
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_parallel_holds_less_than_half_of_per_token_copies():
+    data = resources.files("lexali") / "data"
+    src, tgt = str(data / "mini.src"), str(data / "mini.tgt")
+    loaded = traced_size(lambda: corpus.load_parallel(src, tgt))
+    copies = traced_size(lambda: [
+        [tuple(line.split()) for line in corpus.read_lines(path)] for path in (src, tgt)
+    ])
+    assert loaded < copies / 2
+
+
+SPACES = st.text(
+    alphabet=" \t\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u2028\u3000", min_size=1, max_size=2
+)
+WORD = st.text(alphabet="abc", min_size=1, max_size=3)
+RESERVED = st.sampled_from(["<lex>", "a<b", "x>", "<", "<3>"])
+
+
+@st.composite
+def corpus_text(draw, lines):
+    """A file's text: lines of words between runs of unusual whitespace, some
+    of them empty or blank; when the file is drawn faulty, some words hold
+    an angle bracket. The last line may lack its newline."""
+    word = st.one_of(WORD, RESERVED) if draw(st.booleans()) else WORD
+    text = []
+    for _ in range(lines):
+        words = draw(st.lists(word, max_size=4))
+        line = draw(SPACES | st.just("")).join([""] + words) if words else ""
+        text.append(line + draw(st.just("") | SPACES))
+    return "\n".join(text) + draw(st.sampled_from(["\n", ""]))
+
+
+def outcome(read, error):
+    """What read() returns, or the message of the error it raises."""
+    try:
+        return read()
+    except error as exc:
+        return f"raised: {exc}"
+
+
+@given(data=st.data(), lines=st.integers(0, 6), empty_ok=st.booleans())
+def test_load_sentences_equals_line_loop(tmp_path_factory, data, lines, empty_ok):
+    path = tmp_path_factory.mktemp("sentences") / "side.txt"
+    path.write_text(data.draw(corpus_text(lines)), encoding="utf-8")
+    assert outcome(lambda: corpus.load_sentences(path, empty_ok=empty_ok), LexaliError) == (
+        outcome(lambda: load_sentences_loop_oracle(path, empty_ok), ValueError)
+    )
+
+
+@given(data=st.data(), lines=st.integers(1, 6), same_count=st.integers(0, 5))
+def test_load_parallel_equals_line_loop(tmp_path_factory, data, lines, same_count):
+    folder = tmp_path_factory.mktemp("parallel")
+    src, tgt = folder / "s.txt", folder / "t.txt"
+    src.write_text(data.draw(corpus_text(lines)), encoding="utf-8")
+    # most pairs of files have equal line counts, so their lines are checked
+    tgt_lines = lines if same_count else data.draw(st.integers(0, 6))
+    tgt.write_text(data.draw(corpus_text(tgt_lines)), encoding="utf-8")
+    loaded = outcome(lambda: corpus.load_parallel(src, tgt).pairs, LexaliError)
+    assert loaded == outcome(lambda: load_parallel_loop_oracle(src, tgt), ValueError)
+
+
+@pytest.mark.parametrize("src_text, tgt_text, fault", [
+    # a fault on an earlier line of the target comes before a later one in the source
+    ("ab\ncd\n<x>\n", "ab\n \ncd\n", "t.txt:2: empty line"),
+    # on one line, the source's fault comes first
+    ("ab <x>\n", "\t\n", "s.txt:1: token '<x>' contains a reserved angle bracket"),
+])
+def test_faults_in_both_files_report_the_first(tmp_path, src_text, tgt_text, fault):
+    src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+    src.write_text(src_text, encoding="utf-8")
+    tgt.write_text(tgt_text, encoding="utf-8")
+    with pytest.raises(LexaliError) as error:
+        corpus.load_parallel(src, tgt)
+    assert str(error.value) == f"{tmp_path}/{fault}"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(error.value))}$"):
+        load_parallel_loop_oracle(src, tgt)
 
 
 def test_read_sentences_allows_empty_lines(tmp_path):

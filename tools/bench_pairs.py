@@ -24,7 +24,10 @@ the working tree won, tied and lost, and whether the working tree's median
 is better than, inside or worse than the parent's [Q1, Q3], and writes every run's final JSON line
 with its seed, seconds and side to BENCH_<N>.json at the repository root,
 with the sha256 of this program as ``tool_sha256``, so that a change of the
-harness between two records can be told from a change of the code.
+harness between two records can be told from a change of the code, and
+whether the runs inherited a non-empty ``PYTHONDONTWRITEBYTECODE``
+(``dont_write_bytecode``): then every set-up recompiles lexali's sources,
+so ``setup_s`` grows with their length.
 
 The record names the working tree as HEAD, "with uncommitted changes" when
 src/ differs from HEAD before the first run. If src/ is not the same after
@@ -204,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": head + (" with uncommitted changes" if source else ""),
         "python": platform.python_version(),
         "tool_sha256": hashlib.sha256(Path(__file__).read_bytes()).hexdigest(),
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "pairs": args.pairs,
         "summary": summary,
         "runs": runs,
