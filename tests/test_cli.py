@@ -1200,8 +1200,9 @@ class TestMemory:
 
         tracemalloc.start()
         try:
+            # read as the stage reads them, one str per distinct word
             src, tgt, lex, ali = [
-                corpus.read_sentences(out / name)
+                corpus.load_sentences(out / name, empty_ok=name == cli.ALI_BPE)
                 for name in (cli.SRC_BPE, cli.TGT_BPE, cli.LEX_BPE, cli.ALI_BPE)
             ]
             segments = dict(zip(kinds, (lex, ali, tgt)))

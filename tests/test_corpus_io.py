@@ -166,21 +166,24 @@ def test_load_parallel_holds_less_than_half_of_per_token_copies():
 SPACES = st.text(
     alphabet=" \t\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u2028\u3000", min_size=1, max_size=2
 )
+EDGE = st.just("") | SPACES
 WORD = st.text(alphabet="abc", min_size=1, max_size=3)
 RESERVED = st.sampled_from(["<lex>", "a<b", "x>", "<", "<3>"])
 
 
 @st.composite
 def corpus_text(draw, lines):
-    """A file's text: lines of words between runs of unusual whitespace, some
-    of them empty or blank; when the file is drawn faulty, some words hold
-    an angle bracket. The last line may lack its newline."""
-    word = st.one_of(WORD, RESERVED) if draw(st.booleans()) else WORD
+    """A file's text: lines of words between runs of unusual whitespace. Half
+    the files are drawn clean; the others may hold empty or blank lines, or
+    words with an angle bracket. The last line may lack its newline."""
+    kind = draw(st.sampled_from(["clean", "clean", "blank", "reserved"]))
+    word = st.one_of(WORD, RESERVED) if kind == "reserved" else WORD
     text = []
     for _ in range(lines):
-        words = draw(st.lists(word, max_size=4))
-        line = draw(SPACES | st.just("")).join([""] + words) if words else ""
-        text.append(line + draw(st.just("") | SPACES))
+        tokens = draw(st.lists(word, min_size=0 if kind == "blank" else 1, max_size=4))
+        gaps = [draw(SPACES) for _ in tokens[1:]] + [""]
+        words = "".join(token + gap for token, gap in zip(tokens, gaps))
+        text.append(draw(EDGE) + words + draw(EDGE))
     return "\n".join(text) + draw(st.sampled_from(["\n", ""]))
 
 
@@ -213,19 +216,19 @@ def test_load_parallel_equals_line_loop(tmp_path_factory, data, lines, same_coun
     assert loaded == outcome(lambda: load_parallel_loop_oracle(src, tgt), ValueError)
 
 
-@pytest.mark.parametrize("src_text, tgt_text, fault", [
+@pytest.mark.parametrize("src_text, tgt_text, name, fault", [
     # a fault on an earlier line of the target comes before a later one in the source
-    ("ab\ncd\n<x>\n", "ab\n \ncd\n", "t.txt:2: empty line"),
+    ("ab\ncd\n<x>\n", "ab\n \ncd\n", "t.txt", "2: empty line"),
     # on one line, the source's fault comes first
-    ("ab <x>\n", "\t\n", "s.txt:1: token '<x>' contains a reserved angle bracket"),
+    ("ab <x>\n", "\t\n", "s.txt", "1: token '<x>' contains a reserved angle bracket"),
 ])
-def test_faults_in_both_files_report_the_first(tmp_path, src_text, tgt_text, fault):
+def test_faults_in_both_files_report_the_first(tmp_path, src_text, tgt_text, name, fault):
     src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
     src.write_text(src_text, encoding="utf-8")
     tgt.write_text(tgt_text, encoding="utf-8")
     with pytest.raises(LexaliError) as error:
         corpus.load_parallel(src, tgt)
-    assert str(error.value) == f"{tmp_path}/{fault}"
+    assert str(error.value) == f"{tmp_path / name}:{fault}"
     with pytest.raises(ValueError, match=f"^{re.escape(str(error.value))}$"):
         load_parallel_loop_oracle(src, tgt)
 
