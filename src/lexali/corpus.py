@@ -18,7 +18,7 @@ too, so no code downstream of a reader checks it again; ``train.ali`` and
 the markers, is read without it. The validated readers keep one str per
 distinct word (``load_parallel`` one for both sides), so a repeated token
 costs a pointer, not a string. ``read_sentences`` does not: on decoded
-output the sharing lowers no measured peak and costs a dict probe per token.
+output the sharing saves little memory and costs a dict probe per token.
 """
 
 from __future__ import annotations
@@ -120,10 +120,8 @@ def check_line_counts(*files: tuple[str | Path, Sized]) -> None:
         )
 
 
-def _parse_line(
-    line: str, path: str | Path, lineno: int, empty_ok: bool = False
-) -> Sentence:
-    tokens = tuple(line.split())
+def _check_line(line: str, path: str | Path, lineno: int, empty_ok: bool = False) -> None:
+    tokens = line.split()
     if not (tokens or empty_ok):
         raise LexaliError(f"{path}:{lineno}: empty line")
     # one scan of the whole line; the tokens are searched only to name one
@@ -132,7 +130,6 @@ def _parse_line(
         raise LexaliError(
             f"{path}:{lineno}: token {token!r} contains a reserved angle bracket"
         )
-    return tokens
 
 
 def _share_words(lines: list[str], words: dict[str, str]) -> list[Sentence]:
@@ -154,7 +151,7 @@ def load_sentences(path: str | Path, *, empty_ok: bool = False) -> list[Sentence
     sentences = _share_words(lines, words)
     if _has_fault(words, [sentences], empty_ok):  # the line checks name the first
         for lineno, line in enumerate(lines, start=1):
-            _parse_line(line, path, lineno, empty_ok)
+            _check_line(line, path, lineno, empty_ok)
     return sentences
 
 
@@ -183,8 +180,8 @@ def load_parallel(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     tgt = _share_words(tgt_lines, words)
     if _has_fault(words, [src, tgt], False):
         for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines), start=1):
-            _parse_line(src_line, src_path, lineno)
-            _parse_line(tgt_line, tgt_path, lineno)
+            _check_line(src_line, src_path, lineno)
+            _check_line(tgt_line, tgt_path, lineno)
     return ParallelCorpus(pairs=tuple(zip(src, tgt)))
 
 
