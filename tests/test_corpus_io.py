@@ -168,15 +168,16 @@ SPACES = st.text(
 )
 EDGE = st.just("") | SPACES
 WORD = st.text(alphabet="abc", min_size=1, max_size=3)
-RESERVED = st.sampled_from(["<lex>", "a<b", "x>", "<", "<3>"])
+RESERVED = st.sampled_from(["<lex>", "a<b", "<", "x>", "b>c", ">", "<3>"])
 
 
 @st.composite
 def corpus_text(draw, lines):
-    """A file's text: lines of words between runs of unusual whitespace. Half
-    the files are drawn clean; the others may hold empty or blank lines, or
-    words with an angle bracket. The last line may lack its newline."""
-    kind = draw(st.sampled_from(["clean", "clean", "blank", "reserved"]))
+    """A file's text: lines of words between runs of unusual whitespace. A
+    third of the files are drawn clean; the others may hold empty or blank
+    lines, or words with an angle bracket. The last line may lack its
+    newline."""
+    kind = draw(st.sampled_from(["clean", "blank", "reserved"]))
     word = st.one_of(WORD, RESERVED) if kind == "reserved" else WORD
     text = []
     for _ in range(lines):
