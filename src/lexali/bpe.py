@@ -56,11 +56,6 @@ class MergeTable:
     def __len__(self) -> int:
         return len(self.merges)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MergeTable):
-            return NotImplemented
-        return self.merges == other.merges
-
 
 def _pair_stats(
     words: list[list[str]], freqs: list[int]

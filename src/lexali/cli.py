@@ -8,12 +8,6 @@ keywords of its flag: argparse parses, defaults and requires every option.
 Every command that writes into --out, the pipeline and each stage, holds a
 lock file there while it runs; the pipeline also records a manifest of
 artifact checksums.
-
-The argument parser is built on the first call of main and reused by every
-later call in the same process. It holds each subcommand's handler by name,
-and main looks the handler up in the module globals at call time, so the
-cached parser never pins a function object: a function set on this module
-after the first call is the one that runs.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from functools import cache, partial
 from pathlib import Path
@@ -468,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler: Callable, help_text: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(handler=handler)
         return sub
@@ -484,24 +478,24 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     for command, (help_text, names, _, _) in STAGES.items():
-        add_options(add(command, "cmd_stage", help_text), names)
+        add_options(add(command, cmd_stage, help_text), names)
 
-    sub = add("extract", "cmd_extract", "slice one segment out of decoded output")
+    sub = add("extract", cmd_extract, "slice one segment out of decoded output")
     sub.add_argument("--input", required=True)
     sub.add_argument("--kind", required=True, choices=["lex", "ali", "tgt"])
     sub.add_argument("--output", required=True)
 
-    sub = add("mbr", "cmd_mbr", "pick consensus translations from candidates")
+    sub = add("mbr", cmd_mbr, "pick consensus translations from candidates")
     sub.add_argument("candidates", nargs="+")
     sub.add_argument("--utility", default="chrf", choices=_UTILITY_ALIASES)
     sub.add_argument("--output", required=True)
     sub.add_argument("--scores")
 
-    sub = add("bleu", "cmd_bleu", "score hypotheses against references")
+    sub = add("bleu", cmd_bleu, "score hypotheses against references")
     sub.add_argument("--hyp", required=True)
     sub.add_argument("--ref", required=True)
 
-    sub = add("pipeline", "cmd_pipeline", "run every stage and write a manifest")
+    sub = add("pipeline", cmd_pipeline, "run every stage and write a manifest")
     add_options(sub, OPTIONS)
 
     return parser
@@ -513,8 +507,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # from a type= parser into a usage error, so a LexaliError from an
         # OPTIONS parser reaches the handler below like any other
         args = build_parser().parse_args(argv)
-        # looked up by name, as _run_stage looks up the stages
-        return globals()[args.handler](args)
+        return args.handler(args)
     except LexaliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

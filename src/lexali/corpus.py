@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sized
+from collections.abc import Callable, Iterable, Iterator, Sequence, Sized
 from contextlib import contextmanager, suppress
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -137,22 +137,26 @@ def _share_words(lines: list[str], words: dict[str, str]) -> list[Sentence]:
     return [tuple(map(words.setdefault, parts, parts)) for parts in map(str.split, lines)]
 
 
-def _has_fault(words: dict[str, str], sides: Iterable[list[Sentence]], empty_ok: bool) -> bool:
-    """An angle bracket in a word, or an empty sentence unless ``empty_ok``."""
-    text = "".join(words)
-    return "<" in text or ">" in text or not (empty_ok or all(map(all, sides)))
+def _load(paths: Sequence[str | Path], empty_ok: bool = False) -> list[list[Sentence]]:
+    """Read and validate line-aligned corpus files, one sentence list per
+    file and one word dict for all; a fault names the first faulty line,
+    checking a line's files in the order given."""
+    texts = [read_lines(path) for path in paths]
+    check_line_counts(*zip(paths, texts))
+    words: dict[str, str] = {}
+    sides = [_share_words(lines, words) for lines in texts]
+    joined = "".join(words)  # one scan; the line checks name the first fault
+    if "<" in joined or ">" in joined or not (empty_ok or all(map(all, sides))):
+        for lineno, row in enumerate(zip(*texts), start=1):
+            for path, line in zip(paths, row):
+                _check_line(line, path, lineno, empty_ok)
+    return sides
 
 
 def load_sentences(path: str | Path, *, empty_ok: bool = False) -> list[Sentence]:
     """Read and validate one corpus side: no reserved tokens, and no empty
     lines unless ``empty_ok``, where an empty line is an empty sentence."""
-    lines = read_lines(path)
-    words: dict[str, str] = {}
-    sentences = _share_words(lines, words)
-    if _has_fault(words, [sentences], empty_ok):  # the line checks name the first
-        for lineno, line in enumerate(lines, start=1):
-            _check_line(line, path, lineno, empty_ok)
-    return sentences
+    return _load([path], empty_ok)[0]
 
 
 def read_sentences(path: str | Path) -> list[Sentence]:
@@ -172,25 +176,13 @@ def load_parallel(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     Raises LexaliError naming the offending file and line for encoding
     problems, empty lines, reserved tokens, or a line-count mismatch.
     """
-    src_lines = read_lines(src_path)
-    tgt_lines = read_lines(tgt_path)
-    check_line_counts((src_path, src_lines), (tgt_path, tgt_lines))
-    words: dict[str, str] = {}
-    src = _share_words(src_lines, words)
-    tgt = _share_words(tgt_lines, words)
-    if _has_fault(words, [src, tgt], False):
-        for lineno, (src_line, tgt_line) in enumerate(zip(src_lines, tgt_lines), start=1):
-            _check_line(src_line, src_path, lineno)
-            _check_line(tgt_line, tgt_path, lineno)
-    return ParallelCorpus(pairs=tuple(zip(src, tgt)))
+    return ParallelCorpus(pairs=tuple(zip(*_load([src_path, tgt_path]))))
 
 
 def count_words(sentences: Iterable[Sentence]) -> Counter[str]:
     """Count word frequencies, in first-seen order, which keeps everything
     built on top of the counts deterministic."""
-    counts: Counter[str] = Counter()
-    for sentence in sentences:
-        counts.update(sentence)
+    counts = Counter(chain.from_iterable(sentences))
     if not counts:
         raise LexaliError("cannot build a vocabulary from an empty corpus")
     return counts

@@ -19,7 +19,8 @@ used directionally as u(hypothesis, reference):
     1.0 on token-for-token equality, else 0.0.
 
 Every utility returns 1.0 when both sides are empty and 0.0 when exactly
-one side is empty.
+one side is empty. That rule lives in ``utility`` and ``expected_utilities``
+alone, so the chrF and sentence BLEU scorers only see non-empty candidates.
 
 Scoring a pool builds one profile per distinct candidate (for chrF the
 character n-grams of orders 1 to min(6, length) of the joined text, for
@@ -84,10 +85,6 @@ def _f_score(precision: float, recall: float) -> float:
 def _chrf_pair(a: Profile, b: Profile) -> tuple[float, float]:
     """(u(a, b), u(b, a)) under chrF."""
     (a_length, a_grams), (b_length, b_grams) = a, b
-    if not a_length and not b_length:
-        return 1.0, 1.0
-    if not a_length or not b_length:
-        return 0.0, 0.0
     matched = clipped_matches(a_grams, b_grams, CHRF_MAX_ORDER)
     # order k + 1 of a text of length n has n - k n-grams
     a_sum = b_sum = 0.0
@@ -117,10 +114,6 @@ def _sbleu(matched: list[int], hyp_length: int, ref_length: int) -> float:
 def _sbleu_pair(a: Profile, b: Profile) -> tuple[float, float]:
     """(u(a, b), u(b, a)) under smoothed sentence BLEU."""
     (a_length, a_grams), (b_length, b_grams) = a, b
-    if not a_length and not b_length:
-        return 1.0, 1.0
-    if not a_length or not b_length:
-        return 0.0, 0.0
     matched = clipped_matches(a_grams, b_grams, BLEU_MAX_ORDER)
     return _sbleu(matched, a_length, b_length), _sbleu(matched, b_length, a_length)
 
@@ -138,6 +131,8 @@ _UTILITIES: dict[str, tuple[Callable, Callable]] = {
 
 
 def utility(hyp: Sentence, ref: Sentence, kind: UtilityKind) -> float:
+    if not (hyp and ref):
+        return 0.0 if hyp or ref else 1.0
     profile, pair = _UTILITIES[kind]
     return pair(profile(hyp), profile(ref))[0]
 
@@ -150,13 +145,15 @@ def expected_utilities(
     # pools are tiny and often repetitive: score distinct candidates only
     ids: dict[Sentence, int] = {}
     pool_ids = [ids.setdefault(tuple(candidate), len(ids)) for candidate in pool]
-    profiles = [profile(candidate) for candidate in ids]
-    table = [[0.0] * len(profiles) for _ in profiles]
-    for i, a in enumerate(profiles):
-        # u(x, x) = 1.0 exactly under every utility: see the module docstring
-        table[i][i] = 1.0
-        for j in range(i + 1, len(profiles)):
-            table[i][j], table[j][i] = pair(a, profiles[j])
+    # u(x, x) = 1.0 exactly under every utility, and an empty candidate
+    # keeps 0.0 against every other: see the module docstring
+    profiles = [(i, profile(candidate)) for i, candidate in enumerate(ids) if candidate]
+    table = [[0.0] * len(ids) for _ in ids]
+    for n, (i, a) in enumerate(profiles):
+        for j, b in profiles[n + 1:]:
+            table[i][j], table[j][i] = pair(a, b)
+    for i, row in enumerate(table):
+        row[i] = 1.0
     scores = []
     for i in pool_ids:
         row = table[i]

@@ -261,7 +261,7 @@ def test_merge_file_round_trip_and_bad_line(tmp_path_factory, merges, line_index
     table = bpe.MergeTable(tuple(merges))
     path = tmp_path_factory.mktemp("merges") / "bpe.merges"
     bpe.write_merges(table, path)
-    assert bpe.read_merges(path) == table
+    assert bpe.read_merges(path).merges == table.merges
     # bytes, not text: universal newlines would split a line holding "\r"
     lines = path.read_bytes().decode("utf-8").split("\n")[:-1]
     index = 1 + line_index % len(lines)

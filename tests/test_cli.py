@@ -1086,20 +1086,6 @@ class TestCachedParser:
         assert [outcome(capsys, bad), outcome(capsys, valid)] == expected
         assert not (tmp_path / "bad").exists()
 
-    def test_handler_is_looked_up_at_call_time(self, tmp_path, capsys, monkeypatch):
-        hyp = tmp_path / "hyp.txt"
-        hyp.write_text("a b\n", encoding="utf-8")
-        assert run(["bleu", "--hyp", hyp, "--ref", hyp]) == 0
-        calls = []
-
-        def spy(args):
-            calls.append(args.hyp)
-            return 7
-
-        monkeypatch.setattr(cli, "cmd_bleu", spy)
-        assert run(["bleu", "--hyp", hyp, "--ref", hyp]) == 7
-        assert calls == [str(hyp)]
-
     def test_help_is_the_same_after_other_calls(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         commands = [[], *([name] for name in cli.STAGES),
