@@ -57,7 +57,10 @@ def _parse_int(value: str, key: str, minimum: int) -> int:
     # read "1_0" and fullwidth digits
     if not (value.isascii() and value.removeprefix("-").isdigit()):
         raise LexaliError(f"{key} must be an integer, got {value!r}")
-    parsed = int(value)
+    try:
+        parsed = int(value)
+    except ValueError:  # more digits than int() converts
+        raise LexaliError(f"{key} has more than {sys.get_int_max_str_digits()} digits") from None
     if parsed < minimum:
         raise LexaliError(f"{key} must be >= {minimum}, got {parsed}")
     return parsed

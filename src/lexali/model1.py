@@ -64,6 +64,7 @@ stay contiguous.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
@@ -369,10 +370,11 @@ def _read_pharaoh(
 
     ``lengths`` holds one (i, j) bound pair per expected line. A line count
     other than len(lengths) names the file. Every other fault names
-    path:line: a cell that is not two runs of ASCII digits, or a position at
-    or past its bound, and then, in cell order, an emitted position linked
-    twice. A ``one_to_one`` file, the intersection, names its sides source
-    and target and checks each cell's source position before its target.
+    path:line: a cell that is not two runs of ASCII digits, a position of
+    more digits than ``int`` converts, or one at or past its bound, and
+    then, in cell order, an emitted position linked twice. A ``one_to_one``
+    file, the intersection, names its sides source and target and checks
+    each cell's source position before its target.
     """
     lines = read_lines(path)
     if len(lines) != len(lengths):
@@ -386,8 +388,12 @@ def _read_pharaoh(
             i_text, sep, j_text = cell.partition("-")
             if not (sep and cell.isascii() and i_text.isdigit() and j_text.isdigit()):
                 raise LexaliError(f"{path}:{lineno}: bad link {cell!r}")
-            i = int(i_text)
-            j = int(j_text)
+            try:
+                i = int(i_text)
+                j = int(j_text)
+            except ValueError:  # more digits than int() converts
+                raise LexaliError(f"{path}:{lineno}: link position has more than "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
             if i >= i_bound:
                 raise LexaliError(
                     f"{path}:{lineno}: link {i} out of range for {left} "

@@ -10,6 +10,7 @@ ties broken by the lexicographically smallest target word.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from pathlib import Path
 from typing import NamedTuple
@@ -123,9 +124,15 @@ def read_lexicon(path: str | Path) -> BilingualLexicon:
                 f"{path}:{lineno}: count {count_text!r} is not a "
                 "non-negative integer"
             )
+        try:
+            count = int(count_text)
+        except ValueError:  # more digits than int() converts
+            raise LexaliError(
+                f"{path}:{lineno}: count has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
         if src_word in entries:
             raise LexaliError(
                 f"{path}:{lineno}: source word {src_word!r} listed twice"
             )
-        entries[src_word] = (tgt_word, int(count_text))
+        entries[src_word] = (tgt_word, count)
     return BilingualLexicon(entries=entries)

@@ -249,6 +249,9 @@ BAD_VALUES = [
      "iterations must be an integer, got '\uff15'"),
     (["align", *BOTH_SIDES], "--iterations", "1_0",
      "iterations must be an integer, got '1_0'"),
+    # one digit more than int() converts from a string
+    (["align", *BOTH_SIDES], "--iterations", "9" * (sys.get_int_max_str_digits() + 1),
+     f"iterations has more than {sys.get_int_max_str_digits()} digits"),
     (["align", *BOTH_SIDES], "--out", "", "out must not be empty"),
     (["bpe-learn", *BOTH_SIDES], "--merges", "-1", "merges must be >= 0, got -1"),
     (["bpe-apply", *BOTH_SIDES], "--vocab-threshold", "0",
@@ -263,7 +266,8 @@ BAD_VALUES = [
 @pytest.mark.parametrize(
     ("stage", "flag", "value", "message"),
     BAD_VALUES,
-    ids=[f"{flag[2:]}={Path(value).name}" for _, flag, value, _ in BAD_VALUES],
+    # at most 12 characters of a value, so the over-long one gives a short id
+    ids=[f"{flag[2:]}={Path(value).name[:12]}" for _, flag, value, _ in BAD_VALUES],
 )
 def test_bad_value_same_error_on_stage_and_pipeline(
     tmp_path, toy_args, capsys, stage, flag, value, message

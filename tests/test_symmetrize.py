@@ -3,6 +3,7 @@ files both directions and the intersection are stored in."""
 
 import random
 import re
+import sys
 from functools import partial
 
 import pytest
@@ -13,6 +14,10 @@ from lexali import model1, symmetrize
 from lexali.corpus import ParallelCorpus
 from lexali.errors import LexaliError
 from oracles import intersect_oracle, lexicon_oracle
+
+# one digit more than int() converts from a string
+MAX_DIGITS = sys.get_int_max_str_digits()
+OVER_LONG = "9" * (MAX_DIGITS + 1)
 
 
 def random_links(rng, emitted_length, conditioning_length):
@@ -274,6 +279,9 @@ def test_links_file_repeated_position_rejected(tmp_path, line, position):
                          "target position 1 linked twice")),
         ("0-0 0-1 1-1", ("emitted position 1 linked twice",
                          "source position 0 linked twice")),
+        pytest.param(f"0-0 0-0 0-{OVER_LONG}",
+                     (f"link position has more than {MAX_DIGITS} digits",) * 2,
+                     id="over-long-position"),
     ],
 )
 @pytest.mark.parametrize("reader", [0, 1], ids=["directional", "intersection"])
@@ -354,8 +362,9 @@ def test_lexicon_file_round_trip_and_bad_line(
      ("buch\tbook\t-1", "count '-1' is not a non-negative integer"),
      ("haus\tZZZ\t1", "source word 'haus' listed twice"),
      ("buch\t\t1", "empty source or target word"),
-     ("\tbook\t2", "empty source or target word")],
-    ids=["non-integer", "negative", "repeated", "empty-target", "empty-source"],
+     ("\tbook\t2", "empty source or target word"),
+     (f"buch\tbook\t{OVER_LONG}", f"count has more than {MAX_DIGITS} digits")],
+    ids=["non-integer", "negative", "repeated", "empty-target", "empty-source", "over-long"],
 )
 def test_lexicon_file_bad_line_rejected(tmp_path, line, message):
     path = tmp_path / "lexicon.tsv"
