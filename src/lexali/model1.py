@@ -84,15 +84,13 @@ SRC_TO_TGT: Direction = "src_to_tgt"
 
 Links = tuple[int | None, ...]
 
-# one sentence pair: candidate row ids, then per emitted token its cell ids
-Layout = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
-# a sentence pair with a group: the row ids that add; per emitted token its
-# cell ids for the denominator, then the cell ids that add (both None for a
-# group member after the representative); the representative's cell ids
-Grouped = tuple[tuple[int, ...], tuple[tuple[int, ...] | None, ...],
-                tuple[tuple[int, ...] | None, ...], tuple[int, ...] | None]
-# pairs without a group, then the next pair with one, or None at the end
-Run = tuple[list[Layout], Grouped | None]
+# for a sentence pair with a group: per emitted token the cell ids that add
+# (None for a group member after the representative); the representative's
+# cell ids
+Grouped = tuple[tuple[tuple[int, ...] | None, ...], tuple[int, ...] | None]
+# one sentence pair: the row ids that add; per emitted token its cell ids for
+# the denominator (None as in Grouped); None, or the pair's Grouped
+Layout = tuple[tuple[int, ...], tuple[tuple[int, ...] | None, ...], Grouped | None]
 
 
 class TranslationTable(NamedTuple):
@@ -164,16 +162,16 @@ def train_model1(
 
 def _intern_cells(
     pairs: Sequence[tuple[Sentence, Sentence]],
-) -> tuple[list[str], list[tuple[int, int, tuple[str, ...], int]], list[Run],
+) -> tuple[list[str], list[tuple[int, int, tuple[str, ...], int]], list[Layout],
            list[tuple[tuple[int, ...], tuple[str, ...]]], list[tuple[str, ...]]]:
     """Number every co-occurring (conditioning, emitted) word pair, a group
     taking one cell per row and a row group one row.
 
     Returns the conditioning words by row id; per row with cells its id,
     first cell, emitted words in cell order and number of words, group
-    members included; the layout in runs; per group its distinct rows and
-    its members in sentence order; and each row group's members in sentence
-    order.
+    members included; the layout, one entry per sentence pair in corpus
+    order; per group its distinct rows and its members in sentence order;
+    and each row group's members in sentence order.
     """
     hapaxes = {f for f, n in Counter(chain.from_iterable(
         emitted for _, emitted in pairs)).items() if n == 1}
@@ -224,13 +222,12 @@ def _intern_cells(
             row_spans.append((row, start, emitted_words, n_words))
         start = end
     layout = []
-    plain = []
     for rows, emitted, rep, adding in sentences:
         # itemgetter needs a word, and returns a lone word's cell bare
         get = itemgetter(*emitted) if len(emitted) > 1 else lambda d: [d[f] for f in emitted]
         tokens = tuple(zip(*[get(row_cells[row]) for row in rows]))
         if rep is None and adding is None:
-            plain.append((rows, tokens))
+            layout.append((rows, tokens, None))
             continue
         group = None
         if rep is not None:
@@ -241,42 +238,41 @@ def _intern_cells(
         if adding is not None:
             rows = adding(rows)
             adds = tuple([None if cells is None else adding(cells) for cells in tokens])
-        layout.append((plain, (rows, tokens, adds, group)))
-        plain = []
-    layout.append((plain, None))
+        layout.append((rows, tokens, (adds, group)))
     return list(row_ids), row_spans, layout, groups, row_groups
 
 
 def _expected_counts(
-    layout: list[Run], probs: list[float], n_rows: int
+    layout: list[Layout], probs: list[float], n_rows: int
 ) -> tuple[list[float], list[float]]:
     """One E-step: expected count per cell and per conditioning row."""
     counts = [0.0] * len(probs)
     totals = [0.0] * n_rows
-    for plain, grouped in layout:
-        for rows, tokens in plain:
-            for cells in tokens:
-                denom = 0.0
-                for cell in cells:
-                    denom += probs[cell]
-                if denom == 0.0:
-                    continue
-                for row, cell in zip(rows, cells):
-                    share = probs[cell] / denom
-                    counts[cell] += share
-                    totals[row] += share
+    for rows, tokens, grouped in layout:
         if grouped is not None:
-            _add_group_counts(grouped, probs, counts, totals)
+            _add_group_counts(rows, tokens, grouped, probs, counts, totals)
+            continue
+        for cells in tokens:
+            denom = 0.0
+            for cell in cells:
+                denom += probs[cell]
+            if denom == 0.0:
+                continue
+            for row, cell in zip(rows, cells):
+                share = probs[cell] / denom
+                counts[cell] += share
+                totals[row] += share
     return counts, totals
 
 
-def _add_group_counts(grouped: Grouped, probs: list[float],
+def _add_group_counts(rows: tuple[int, ...], tokens: tuple[tuple[int, ...] | None, ...],
+                      grouped: Grouped, probs: list[float],
                       counts: list[float], totals: list[float]) -> None:
     """The E-step of a sentence pair with a group or a row group (inlined, it
     slowed the other pairs' loop by 2 %): every candidate adds to the
     denominator, later row group members add nothing, and later group members
     add the representative's shares to the totals only."""
-    rows, tokens, adds, group = grouped
+    adds, group = grouped
     for cells, kept in zip(tokens, adds):
         if cells is None:
             for row, share in zip(rows, replayed):
