@@ -7,7 +7,9 @@ hand. Each stage option is declared once, in OPTIONS, as the add_argument
 keywords of its flag: argparse parses, defaults and requires every option.
 Every command that writes into --out, the pipeline and each stage, holds a
 lock file there while it runs; the pipeline also records a manifest of
-artifact checksums.
+artifact checksums. The pipeline reads and validates --src and --tgt once,
+in align, and every later stage that takes them uses that one copy; a stage
+subcommand reads its own files.
 """
 
 from __future__ import annotations
@@ -135,12 +137,34 @@ STAGES: dict[str, tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]]]
 
 PIPELINE_ARTIFACTS = tuple(name for *_, writes in STAGES.values() for name in writes)
 
+# the last stage that takes --src or --tgt, after which the pipeline drops
+# the corpus it shares
+_LAST_CORPUS_STAGE = [
+    command for command, (_, names, *_) in STAGES.items() if {"src", "tgt"} & set(names)
+][-1]
+
 
 # ---------------------------------------------------------------- stages
 
+# While cmd_pipeline runs, a function returning the corpus of its --src and
+# --tgt, read on its first call; otherwise None, and each stage reads its own
+# files
+_shared_corpus: Callable[[], corpus.ParallelCorpus] | None = None
+
+
+def _load_parallel(src: str, tgt: str) -> corpus.ParallelCorpus:
+    return corpus.load_parallel(src, tgt) if _shared_corpus is None else _shared_corpus()
+
+
+def _load_side(path: str, side: int) -> list[corpus.Sentence]:
+    """Side 0 (--src) or 1 (--tgt) of the corpus, whose file is ``path``."""
+    if _shared_corpus is None:
+        return corpus.load_sentences(path)
+    return [pair[side] for pair in _shared_corpus().pairs]
+
 
 def stage_align(src: str, tgt: str, out: Path, iterations: int) -> None:
-    pair_corpus = corpus.load_parallel(src, tgt)
+    pair_corpus = _load_parallel(src, tgt)
     _align_direction(pair_corpus, model1.TGT_TO_SRC, iterations, out / TABLE_T2S, out / ALIGN_T2S)
     _align_direction(pair_corpus, model1.SRC_TO_TGT, iterations, out / TABLE_S2T, out / ALIGN_S2T)
 
@@ -157,7 +181,7 @@ def _align_direction(
 
 
 def stage_symmetrize(src: str, tgt: str, out: Path) -> None:
-    pairs = corpus.load_parallel(src, tgt).pairs
+    pairs = _load_parallel(src, tgt).pairs
     forward = model1.read_alignment_maps(
         out / ALIGN_T2S, [(len(s), len(t)) for s, t in pairs]
     )
@@ -171,7 +195,7 @@ def stage_symmetrize(src: str, tgt: str, out: Path) -> None:
 
 
 def stage_lexicon(src: str, tgt: str, out: Path) -> None:
-    pair_corpus = corpus.load_parallel(src, tgt)
+    pair_corpus = _load_parallel(src, tgt)
     links = symmetrize.read_links(
         out / ALIGN_INTERSECT, [(len(s), len(t)) for s, t in pair_corpus.pairs]
     )
@@ -180,7 +204,7 @@ def stage_lexicon(src: str, tgt: str, out: Path) -> None:
 
 
 def stage_lex(src: str, out: Path) -> None:
-    sentences = corpus.load_sentences(src)
+    sentences = _load_side(src, 0)
     lexicon = symmetrize.read_lexicon(out / LEXICON)
     corpus.write_sentences(
         (sequences.make_lex(sentence, lexicon) for sentence in sentences),
@@ -190,7 +214,7 @@ def stage_lex(src: str, out: Path) -> None:
 
 def stage_ali(tgt: str, out: Path) -> None:
     lex_sentences = corpus.load_sentences(out / LEX_WORDS)
-    tgt_sentences = corpus.load_sentences(tgt)
+    tgt_sentences = _load_side(tgt, 1)
     corpus.check_line_counts((out / LEX_WORDS, lex_sentences), (tgt, tgt_sentences))
     alignments = model1.read_alignment_maps(
         out / ALIGN_T2S,
@@ -204,7 +228,7 @@ def stage_ali(tgt: str, out: Path) -> None:
 
 
 def stage_bpe_learn(src: str, tgt: str, out: Path, merges: int) -> None:
-    pairs = corpus.load_parallel(src, tgt).pairs
+    pairs = _load_parallel(src, tgt).pairs
     # source words first, then the target words not seen yet
     counts = corpus.count_words([s for s, _ in pairs] + [t for _, t in pairs])
     table = bpe.learn_bpe(counts, merges)
@@ -215,7 +239,7 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
     table = bpe.read_merges(out / MERGES)
     segment = bpe.make_segmenter(table)
 
-    pairs = corpus.load_parallel(src, tgt).pairs
+    pairs = _load_parallel(src, tgt).pairs
     lex = corpus.load_sentences(out / LEX_WORDS)
     # an all-NULL target gives an empty train.ali line
     ali = corpus.load_sentences(out / ALI_WORDS, empty_ok=True)
@@ -441,12 +465,19 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    global _shared_corpus
     with _claimed(args) as out:
-        for command in STAGES:
-            try:
-                _run_stage(command, args, out)
-            except LexaliError as exc:
-                raise LexaliError(f"stage {command} failed: {exc}") from exc
+        _shared_corpus = cache(lambda: corpus.load_parallel(args.src, args.tgt))
+        try:
+            for command in STAGES:
+                try:
+                    _run_stage(command, args, out)
+                except LexaliError as exc:
+                    raise LexaliError(f"stage {command} failed: {exc}") from exc
+                if command == _LAST_CORPUS_STAGE:
+                    _shared_corpus = None
+        finally:
+            _shared_corpus = None
         write_run_manifest(args, out)
     return 0
 

@@ -109,12 +109,13 @@ def run_module(argv, cwd=None, **env):
 OUT_COMMANDS = ["pipeline", *cli.STAGES]
 
 
-def toy_argv(command, out):
-    """The command on the toy corpus, with the corpus flags it takes."""
+def toy_argv(command, out, corpus_name="toy"):
+    """The command on the toy corpus, or the bundled corpus ``corpus_name``,
+    with the corpus flags it takes."""
     names = cli.STAGES[command][1] if command in cli.STAGES else cli.OPTIONS
     corpus_flags = [
         flag for side in ("src", "tgt") if side in names
-        for flag in (f"--{side}", data_path(f"toy.{side}"))
+        for flag in (f"--{side}", data_path(f"{corpus_name}.{side}"))
     ]
     return [command, *corpus_flags, "--out", out]
 
@@ -422,11 +423,20 @@ class TestPipeline:
         assert manifest["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
     def test_pipeline_equals_chained_subcommands(self, tmp_path):
+        self.check_pipeline_equals_chained_subcommands(tmp_path, "toy")
+
+    def test_pipeline_equals_chained_subcommands_on_mini(self, tmp_path):
+        # the pipeline shares one read of --src and --tgt between its
+        # stages; each subcommand reads them itself
+        self.check_pipeline_equals_chained_subcommands(tmp_path, "mini")
+
+    @staticmethod
+    def check_pipeline_equals_chained_subcommands(tmp_path, corpus_name):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        assert run(toy_argv("pipeline", a)) == 0
+        assert run(toy_argv("pipeline", a, corpus_name)) == 0
         for command in cli.STAGES:
-            assert run(toy_argv(command, b)) == 0, command
+            assert run(toy_argv(command, b, corpus_name)) == 0, command
         for name in cli.PIPELINE_ARTIFACTS:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         # no *.tmp and no LOCK is left behind in either directory
@@ -782,6 +792,57 @@ class TestPipeline:
             f"error: cannot read {first}: No such file or directory\n"
         )
         assert list(out.iterdir()) == []
+
+
+class TestSharedCorpus:
+    """One pipeline command reads --src and --tgt once, in align, and every
+    later stage works on that copy; a stage subcommand reads its own."""
+
+    @staticmethod
+    def corpus_reads(monkeypatch, argv):
+        """The paths of the corpus files the call reads, once per read."""
+        reads = []
+        read_lines = corpus.read_lines
+
+        def recording(path):
+            reads.append(str(path))
+            return read_lines(path)
+
+        monkeypatch.setattr(corpus, "read_lines", recording)
+        assert run(argv) == 0
+        return [path for path in reads if path in (data_path("toy.src"), data_path("toy.tgt"))]
+
+    def test_pipeline_reads_each_input_once(self, tmp_path, monkeypatch):
+        reads = self.corpus_reads(monkeypatch, toy_argv("pipeline", tmp_path / "run"))
+        assert sorted(reads) == [data_path("toy.src"), data_path("toy.tgt")]
+
+    @pytest.mark.parametrize(("command", "side"), [("lex", "src"), ("ali", "tgt")])
+    def test_one_side_stage_reads_only_its_side(self, tmp_path, monkeypatch, command, side):
+        out = tmp_path / "run"
+        assert run(toy_argv("pipeline", out)) == 0
+        reads = self.corpus_reads(monkeypatch, toy_argv(command, out))
+        assert reads == [data_path(f"toy.{side}")]
+
+    def test_input_changed_after_align_is_not_read_again(self, tmp_path, monkeypatch):
+        """Stages after align work on the corpus align read, even when
+        --src changes under the running pipeline."""
+        src, tgt = tmp_path / "c.src", tmp_path / "c.tgt"
+        for side, path in (("src", src), ("tgt", tgt)):
+            path.write_bytes(Path(data_path(f"toy.{side}")).read_bytes())
+        argv = ["--src", src, "--tgt", tgt]
+        assert run(["pipeline", *argv, "--out", tmp_path / "untouched"]) == 0
+        stage_align = cli.stage_align
+
+        def align_then_drop_a_line(*args, **kwargs):
+            stage_align(*args, **kwargs)
+            src.write_text("".join(src.read_text().splitlines(True)[:-1]))
+
+        monkeypatch.setattr(cli, "stage_align", align_then_drop_a_line)
+        assert run(["pipeline", *argv, "--out", tmp_path / "edited"]) == 0
+        for name in cli.PIPELINE_ARTIFACTS:
+            assert (tmp_path / "edited" / name).read_bytes() == (
+                tmp_path / "untouched" / name
+            ).read_bytes(), name
 
 
 # ("read", path) for each file opened for reading and ("write", path) for
@@ -1205,6 +1266,39 @@ class TestMemory:
         # beyond the sentences it reads, the stage holds less than a quarter
         # of what the list of its examples would
         assert stage_peak - inputs_size < examples_size / 4
+
+    def test_pipeline_drops_the_corpus_before_augment(self, tmp_path, monkeypatch):
+        """augment, which takes neither --src nor --tgt, starts inside the
+        pipeline with no more memory held than when it runs on its own."""
+        out = tmp_path / "run"
+        cli.build_parser()  # cached, so that neither traced run builds it
+        held = []
+        stage_augment = cli.stage_augment
+
+        def augment_after_noting_the_held_size(**kwargs):
+            # a full collection also empties the free lists, whose freed
+            # tuples tracemalloc still counts
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+            stage_augment(**kwargs)
+
+        monkeypatch.setattr(cli, "stage_augment", augment_after_noting_the_held_size)
+        for argv in (toy_argv("pipeline", out, "mini"), ["augment", "--out", out]):
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+            finally:
+                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            pair_corpus = corpus.load_parallel(data_path("mini.src"), data_path("mini.tgt"))
+            corpus_size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(pair_corpus.pairs) == 1000
+        in_pipeline, alone = held
+        # held, the corpus would add all of corpus_size
+        assert in_pipeline - alone < corpus_size / 4
 
     def test_align_holds_one_direction_at_a_time(self, tmp_path):
         # a wide vocabulary makes each direction's table most of its memory

@@ -131,16 +131,23 @@ def test_lexicon_lex_and_ali_coverage(mini_run):
     right_tokens = sum(line[i] == tgt[j] for line, (_, tgt, links) in zip(lex, corpus)
                        for i, j in links)
     tgt_tokens = sum(len(tgt) for _, tgt, _ in corpus)
+    # the k-th ali token fills the k-th target position with a non-NULL link;
+    # it is right when it is the target word there
+    filled = [sorted(j for _, j in line) for line in read_cells(out / cli.ALIGN_T2S)]
+    right_ali = sum(word == tgt[j] for line, positions, (_, tgt, _) in zip(ali, filled, corpus)
+                    for word, j in zip(line, positions, strict=True))
+    ali_tokens = sum(map(len, ali))
     equal = sum(line == tgt for line, (_, tgt, _) in zip(ali, corpus))
     print(f"lexicon {entries} entries for {src_types} source types, {right_entries} right; "
           f"{copied} of {lex_tokens} lex tokens copied untranslated, {right_tokens} right; "
-          f"|ali| / |tgt| = {sum(map(len, ali))} / {tgt_tokens}; "
+          f"|ali| / |tgt| = {ali_tokens} / {tgt_tokens}, {right_ali} right; "
           f"{equal} of {len(ali)} ali lines equal their target")
     assert entries / src_types >= 0.94           # today 55 / 58
     assert right_entries == entries              # today 55 / 55
     assert right_tokens / lex_tokens >= 0.65     # today 3,918 / 5,975 = 0.656
     assert copied / lex_tokens <= 0.34           # today 0.333
-    assert sum(map(len, ali)) / tgt_tokens >= 0.66  # today 0.667
+    assert ali_tokens / tgt_tokens >= 0.66       # today 0.667
+    assert right_ali / ali_tokens >= 0.98        # today 3,918 / 3,985 = 0.983
 
 
 @pytest.fixture(scope="module")
