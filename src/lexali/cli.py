@@ -8,8 +8,9 @@ keywords of its flag: argparse parses, defaults and requires every option.
 Every command that writes into --out, the pipeline and each stage, holds a
 lock file there while it runs; the pipeline also records a manifest of
 artifact checksums. The pipeline reads and validates --src and --tgt once,
-in align, and every later stage that takes them uses that one copy; a stage
-subcommand reads its own files.
+in align, and hands each value a stage writes on to later stages in memory
+until its last reader has run; it reads back from --out only align's two
+alignment files. A stage subcommand reads and validates its own files.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from functools import cache, partial
 from pathlib import Path
+from typing import Any
 
 from . import __version__, augment, bleu, bpe, corpus, mbr, model1, sequences, symmetrize
 from .errors import LexaliError
@@ -137,34 +139,40 @@ STAGES: dict[str, tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]]]
 
 PIPELINE_ARTIFACTS = tuple(name for *_, writes in STAGES.values() for name in writes)
 
-# the last stage that takes --src or --tgt, after which the pipeline drops
-# the corpus it shares
-_LAST_CORPUS_STAGE = [
-    command for command, (_, names, *_) in STAGES.items() if {"src", "tgt"} & set(names)
-][-1]
+# The last stage to read each value a pipeline holds: an artifact from its
+# reads column, and the corpus of --src and --tgt where its options name either
+_CORPUS = "--src --tgt"
+_LAST_READER = {
+    name: command for command, (_, options, reads, _) in STAGES.items()
+    for name in (*reads, *((_CORPUS,) if {"src", "tgt"} & set(options) else ()))
+}
 
 
 # ---------------------------------------------------------------- stages
 
-# While cmd_pipeline runs, a function returning the corpus of its --src and
-# --tgt, read on its first call; otherwise None, and each stage reads its own
-# files
-_shared_corpus: Callable[[], corpus.ParallelCorpus] | None = None
+# While cmd_pipeline runs, the values its stages read, by artifact name: the
+# corpus, read in align, and the exact object each stage wrote to --out for a
+# later one; each is dropped after its last reader. Otherwise None, and every
+# stage reads its files. symmetrize still reads align's two alignment files
+# back and hands ali the tgt->src maps it parsed, because the benchmark's mini
+# round must measure model1.read_maps_s until it also runs the chained stage
+# subcommands (ROADMAP item 1).
+_held: dict[str, Any] | None = None
 
 
-def _load_parallel(src: str, tgt: str) -> corpus.ParallelCorpus:
-    return corpus.load_parallel(src, tgt) if _shared_corpus is None else _shared_corpus()
+def _hold(name: str, value: Any) -> Any:
+    if _held is not None:
+        _held[name] = value
+    return value
 
 
-def _load_side(path: str, side: int) -> list[corpus.Sentence]:
-    """Side 0 (--src) or 1 (--tgt) of the corpus, whose file is ``path``."""
-    if _shared_corpus is None:
-        return corpus.load_sentences(path)
-    return [pair[side] for pair in _shared_corpus().pairs]
+def _take(name: str, read: Callable[[], Any]) -> Any:
+    """The value held under ``name``, or else what ``read`` returns, then held."""
+    return _held[name] if _held and name in _held else _hold(name, read())
 
 
 def stage_align(src: str, tgt: str, out: Path, iterations: int) -> None:
-    pair_corpus = _load_parallel(src, tgt)
+    pair_corpus = _take(_CORPUS, partial(corpus.load_parallel, src, tgt))
     _align_direction(pair_corpus, model1.TGT_TO_SRC, iterations, out / TABLE_T2S, out / ALIGN_T2S)
     _align_direction(pair_corpus, model1.SRC_TO_TGT, iterations, out / TABLE_S2T, out / ALIGN_S2T)
 
@@ -181,73 +189,66 @@ def _align_direction(
 
 
 def stage_symmetrize(src: str, tgt: str, out: Path) -> None:
-    pairs = _load_parallel(src, tgt).pairs
-    forward = model1.read_alignment_maps(
-        out / ALIGN_T2S, [(len(s), len(t)) for s, t in pairs]
-    )
-    backward = model1.read_alignment_maps(
-        out / ALIGN_S2T, [(len(t), len(s)) for s, t in pairs]
-    )
-    links = [
-        symmetrize.intersect_maps(f, b) for f, b in zip(forward, backward)
-    ]
-    symmetrize.write_links(links, out / ALIGN_INTERSECT)
+    pairs = _take(_CORPUS, partial(corpus.load_parallel, src, tgt)).pairs
+    lengths = [(len(s), len(t)) for s, t in pairs]
+    forward = _hold(ALIGN_T2S, model1.read_alignment_maps(out / ALIGN_T2S, lengths))
+    backward = model1.read_alignment_maps(out / ALIGN_S2T, [(t, s) for s, t in lengths])
+    links = [symmetrize.intersect_maps(f, b) for f, b in zip(forward, backward)]
+    symmetrize.write_links(_hold(ALIGN_INTERSECT, links), out / ALIGN_INTERSECT)
 
 
 def stage_lexicon(src: str, tgt: str, out: Path) -> None:
-    pair_corpus = _load_parallel(src, tgt)
-    links = symmetrize.read_links(
+    pair_corpus = _take(_CORPUS, partial(corpus.load_parallel, src, tgt))
+    links = _take(ALIGN_INTERSECT, lambda: symmetrize.read_links(
         out / ALIGN_INTERSECT, [(len(s), len(t)) for s, t in pair_corpus.pairs]
-    )
+    ))
     lexicon = symmetrize.extract_lexicon(pair_corpus, links)
-    symmetrize.write_lexicon(lexicon, out / LEXICON)
+    symmetrize.write_lexicon(_hold(LEXICON, lexicon), out / LEXICON)
 
 
 def stage_lex(src: str, out: Path) -> None:
-    sentences = _load_side(src, 0)
-    lexicon = symmetrize.read_lexicon(out / LEXICON)
-    corpus.write_sentences(
-        (sequences.make_lex(sentence, lexicon) for sentence in sentences),
-        out / LEX_WORDS,
-    )
+    # the source side of the pipeline's corpus, or else the file --src names
+    sentences = (corpus.load_sentences(src) if _held is None
+                 else [s for s, _ in _held[_CORPUS].pairs])
+    lexicon = _take(LEXICON, partial(symmetrize.read_lexicon, out / LEXICON))
+    lex = [sequences.make_lex(sentence, lexicon) for sentence in sentences]
+    corpus.write_sentences(_hold(LEX_WORDS, lex), out / LEX_WORDS)
 
 
 def stage_ali(tgt: str, out: Path) -> None:
-    lex_sentences = corpus.load_sentences(out / LEX_WORDS)
-    tgt_sentences = _load_side(tgt, 1)
+    lex_sentences = _take(LEX_WORDS, partial(corpus.load_sentences, out / LEX_WORDS))
+    # the target side of the pipeline's corpus, or else the file --tgt names
+    tgt_sentences = (corpus.load_sentences(tgt) if _held is None
+                     else [t for _, t in _held[_CORPUS].pairs])
     corpus.check_line_counts((out / LEX_WORDS, lex_sentences), (tgt, tgt_sentences))
-    alignments = model1.read_alignment_maps(
-        out / ALIGN_T2S,
-        [(len(lex), len(t)) for lex, t in zip(lex_sentences, tgt_sentences)],
-    )
-    ali = [
-        sequences.make_ali(lex, links)
-        for lex, links in zip(lex_sentences, alignments)
-    ]
-    corpus.write_sentences(ali, out / ALI_WORDS)
+    alignments = _take(ALIGN_T2S, lambda: model1.read_alignment_maps(
+        out / ALIGN_T2S, [(len(lex), len(t)) for lex, t in zip(lex_sentences, tgt_sentences)]
+    ))
+    ali = [sequences.make_ali(lex, links) for lex, links in zip(lex_sentences, alignments)]
+    corpus.write_sentences(_hold(ALI_WORDS, ali), out / ALI_WORDS)
 
 
 def stage_bpe_learn(src: str, tgt: str, out: Path, merges: int) -> None:
-    pairs = _load_parallel(src, tgt).pairs
+    pairs = _take(_CORPUS, partial(corpus.load_parallel, src, tgt)).pairs
     # source words first, then the target words not seen yet
     counts = corpus.count_words([s for s, _ in pairs] + [t for _, t in pairs])
     table = bpe.learn_bpe(counts, merges)
-    bpe.write_merges(table, out / MERGES)
+    bpe.write_merges(_hold(MERGES, table), out / MERGES)
 
 
 def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None:
-    table = bpe.read_merges(out / MERGES)
+    table = _take(MERGES, partial(bpe.read_merges, out / MERGES))
     segment = bpe.make_segmenter(table)
 
-    pairs = _load_parallel(src, tgt).pairs
-    lex = corpus.load_sentences(out / LEX_WORDS)
+    pairs = _take(_CORPUS, partial(corpus.load_parallel, src, tgt)).pairs
+    lex = _take(LEX_WORDS, partial(corpus.load_sentences, out / LEX_WORDS))
     # an all-NULL target gives an empty train.ali line
-    ali = corpus.load_sentences(out / ALI_WORDS, empty_ok=True)
+    ali = _take(ALI_WORDS, partial(corpus.load_sentences, out / ALI_WORDS, empty_ok=True))
     corpus.check_line_counts((src, pairs), (out / LEX_WORDS, lex), (out / ALI_WORDS, ali))
     src_bpe = [segment(s) for s, _ in pairs]
-    corpus.write_sentences(src_bpe, out / SRC_BPE)
+    corpus.write_sentences(_hold(SRC_BPE, src_bpe), out / SRC_BPE)
     tgt_bpe = [segment(t) for _, t in pairs]
-    corpus.write_sentences(tgt_bpe, out / TGT_BPE)
+    corpus.write_sentences(_hold(TGT_BPE, tgt_bpe), out / TGT_BPE)
 
     # the subword vocabulary that constrains the intermediate sequences is
     # counted over the segmented target side only
@@ -255,8 +256,8 @@ def stage_bpe_apply(src: str, tgt: str, out: Path, vocab_threshold: int) -> None
     corpus.write_vocab(tgt_vocab, out / TGT_VOCAB)
 
     constrained = bpe.make_segmenter(table, tgt_vocab, vocab_threshold)
-    corpus.write_sentences(map(constrained, lex), out / LEX_BPE)
-    corpus.write_sentences(map(constrained, ali), out / ALI_BPE)
+    corpus.write_sentences(_hold(LEX_BPE, list(map(constrained, lex))), out / LEX_BPE)
+    corpus.write_sentences(_hold(ALI_BPE, list(map(constrained, ali))), out / ALI_BPE)
 
 
 def stage_augment(out: Path, segments: Sequence[augment.SegmentKind], mode: str) -> None:
@@ -265,7 +266,7 @@ def stage_augment(out: Path, segments: Sequence[augment.SegmentKind], mode: str)
     # the source, then only the configured sides, in the order src, tgt, lex,
     # ali; an all-NULL target gives an empty train.ali.bpe line
     sides = {
-        name: corpus.load_sentences(out / name, empty_ok=name == ALI_BPE)
+        name: _take(name, partial(corpus.load_sentences, out / name, empty_ok=name == ALI_BPE))
         for name in (SRC_BPE, *(files[kind] for kind in files if kind in segments))
     }
     corpus.check_line_counts(*((out / name, lines) for name, lines in sides.items()))
@@ -465,19 +466,18 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    global _shared_corpus
+    global _held
     with _claimed(args) as out:
-        _shared_corpus = cache(lambda: corpus.load_parallel(args.src, args.tgt))
+        _held = {}
         try:
             for command in STAGES:
                 try:
                     _run_stage(command, args, out)
                 except LexaliError as exc:
                     raise LexaliError(f"stage {command} failed: {exc}") from exc
-                if command == _LAST_CORPUS_STAGE:
-                    _shared_corpus = None
+                _held = {name: v for name, v in _held.items() if _LAST_READER[name] != command}
         finally:
-            _shared_corpus = None
+            _held = None
         write_run_manifest(args, out)
     return 0
 

@@ -109,15 +109,19 @@ def run_module(argv, cwd=None, **env):
 OUT_COMMANDS = ["pipeline", *cli.STAGES]
 
 
-def toy_argv(command, out, corpus_name="toy"):
-    """The command on the toy corpus, or the bundled corpus ``corpus_name``,
-    with the corpus flags it takes."""
+def toy_argv(command, out, corpus_name="toy", **options):
+    """The command on the toy corpus, the bundled corpus ``corpus_name``, or
+    the files ``corpus_name``.src and .tgt given a Path, with the corpus
+    flags it takes and the flags of those ``options`` (values by option
+    name) it takes."""
     names = cli.STAGES[command][1] if command in cli.STAGES else cli.OPTIONS
-    corpus_flags = [
-        flag for side in ("src", "tgt") if side in names
-        for flag in (f"--{side}", data_path(f"{corpus_name}.{side}"))
+    prefix = corpus_name if isinstance(corpus_name, Path) else data_path(corpus_name)
+    values = {"src": f"{prefix}.src", "tgt": f"{prefix}.tgt", **options}
+    flags = [
+        flag for name, value in values.items() if name in names
+        for flag in ("--" + name.replace("_", "-"), value)
     ]
-    return [command, *corpus_flags, "--out", out]
+    return [command, *flags, "--out", out]
 
 
 def write_mini_pools(directory, lines=200):
@@ -426,17 +430,34 @@ class TestPipeline:
         self.check_pipeline_equals_chained_subcommands(tmp_path, "toy")
 
     def test_pipeline_equals_chained_subcommands_on_mini(self, tmp_path):
-        # the pipeline shares one read of --src and --tgt between its
-        # stages; each subcommand reads them itself
+        # the pipeline hands each stage's values on in memory; each
+        # subcommand reads its files itself
         self.check_pipeline_equals_chained_subcommands(tmp_path, "mini")
 
+    def test_pipeline_equals_chained_subcommands_on_an_empty_ali_line(self, tmp_path):
+        pairs = [("der hund", "the dog"), ("die katze", "the cat"),
+                 ("das haus", "the house"), ("der", "the")]
+        for side, lines in zip(("src", "tgt"), zip(*pairs)):
+            (tmp_path / f"four.{side}").write_text("".join(f"{line}\n" for line in lines))
+        self.check_pipeline_equals_chained_subcommands(tmp_path, tmp_path / "four")
+        # "the" aligns to NULL, so the last pair's ali is empty
+        assert (tmp_path / "a" / cli.ALI_WORDS).read_text().splitlines()[-1] == ""
+
+    def test_pipeline_equals_chained_subcommands_with_other_options(self, tmp_path):
+        # augment leaves train.lex.bpe unread, which the pipeline holds all
+        # the same until augment, its last reader in STAGES, has run
+        self.check_pipeline_equals_chained_subcommands(
+            tmp_path, "mini", segments="ali,tgt", mode="simple", merges="50",
+            vocab_threshold="2",
+        )
+
     @staticmethod
-    def check_pipeline_equals_chained_subcommands(tmp_path, corpus_name):
+    def check_pipeline_equals_chained_subcommands(tmp_path, corpus_name, **options):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        assert run(toy_argv("pipeline", a, corpus_name)) == 0
+        assert run(toy_argv("pipeline", a, corpus_name, **options)) == 0
         for command in cli.STAGES:
-            assert run(toy_argv(command, b, corpus_name)) == 0, command
+            assert run(toy_argv(command, b, corpus_name, **options)) == 0, command
         for name in cli.PIPELINE_ARTIFACTS:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         # no *.tmp and no LOCK is left behind in either directory
@@ -796,7 +817,8 @@ class TestPipeline:
 
 class TestSharedCorpus:
     """One pipeline command reads --src and --tgt once, in align, and every
-    later stage works on that copy; a stage subcommand reads its own."""
+    later stage works on that copy, and on the values earlier stages wrote
+    to --out as they wrote them; a stage subcommand reads its own files."""
 
     @staticmethod
     def corpus_reads(monkeypatch, argv):
@@ -843,6 +865,25 @@ class TestSharedCorpus:
             assert (tmp_path / "edited" / name).read_bytes() == (
                 tmp_path / "untouched" / name
             ).read_bytes(), name
+
+    def test_out_file_changed_after_lex_is_not_read_again(self, tmp_path, monkeypatch):
+        """Stages after lex work on the sentences lex wrote, even when
+        train.lex changes under the running pipeline."""
+        untouched, edited = tmp_path / "untouched", tmp_path / "edited"
+        assert run(toy_argv("pipeline", untouched)) == 0
+        stage_lex = cli.stage_lex
+
+        def lex_then_drop_a_line(*args, **kwargs):
+            stage_lex(*args, **kwargs)
+            lex = edited / cli.LEX_WORDS
+            lex.write_text("".join(lex.read_text().splitlines(True)[:-1]))
+
+        monkeypatch.setattr(cli, "stage_lex", lex_then_drop_a_line)
+        assert run(toy_argv("pipeline", edited)) == 0
+        assert len((edited / cli.LEX_WORDS).read_text().splitlines()) == 1
+        for name in cli.PIPELINE_ARTIFACTS:
+            if name != cli.LEX_WORDS:
+                assert (edited / name).read_bytes() == (untouched / name).read_bytes(), name
 
 
 # ("read", path) for each file opened for reading and ("write", path) for
@@ -905,9 +946,10 @@ class TestDeclaredFiles:
         out = tmp_path / "run"
         code, read, written = observed_io(toy_argv("pipeline", out), out)
         assert code == 0
-        # each stage's reads, then every artifact once for the manifest
-        stage_reads = [name for *_, reads, _ in cli.STAGES.values() for name in reads]
-        assert read == [*stage_reads, *cli.PIPELINE_ARTIFACTS]
+        # symmetrize's reads of align's two alignment files, then every
+        # artifact once for the manifest; every other value a stage reads
+        # from --out is handed on in memory
+        assert read == [*cli.STAGES["symmetrize"][2], *cli.PIPELINE_ARTIFACTS]
         assert sorted(written) == sorted([*cli.PIPELINE_ARTIFACTS, cli.RUN_MANIFEST])
         assert len(set(cli.PIPELINE_ARTIFACTS)) == len(cli.PIPELINE_ARTIFACTS)
 
@@ -1268,37 +1310,48 @@ class TestMemory:
         assert stage_peak - inputs_size < examples_size / 4
 
     def test_pipeline_drops_the_corpus_before_augment(self, tmp_path, monkeypatch):
-        """augment, which takes neither --src nor --tgt, starts inside the
-        pipeline with no more memory held than when it runs on its own."""
+        """At augment's start inside the pipeline, the pipeline holds nothing
+        beyond augment's declared inputs: they are the only values it holds,
+        and it holds no more memory than augment on its own holds once it
+        has read them."""
         out = tmp_path / "run"
         cli.build_parser()  # cached, so that neither traced run builds it
         held = []
         stage_augment = cli.stage_augment
 
-        def augment_after_noting_the_held_size(**kwargs):
+        def augment_after_noting_what_is_held(**kwargs):
             # a full collection also empties the free lists, whose freed
             # tuples tracemalloc still counts
             gc.collect()
-            held.append(tracemalloc.get_traced_memory()[0])
+            held.append((tracemalloc.get_traced_memory()[0], sorted(cli._held or ())))
             stage_augment(**kwargs)
 
-        monkeypatch.setattr(cli, "stage_augment", augment_after_noting_the_held_size)
-        for argv in (toy_argv("pipeline", out, "mini"), ["augment", "--out", out]):
+        def traced_size(function, *args):
+            """What function returns, and the memory traced once it has."""
+            # collected first, so that no tuple comes untraced off a free list
+            gc.collect()
             tracemalloc.start()
             try:
-                assert run(argv) == 0
+                result = function(*args)
+                return result, tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-        tracemalloc.start()
-        try:
-            pair_corpus = corpus.load_parallel(data_path("mini.src"), data_path("mini.tgt"))
-            corpus_size = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "stage_augment", augment_after_noting_what_is_held)
+        for argv in (toy_argv("pipeline", out, "mini"), ["augment", "--out", out]):
+            assert traced_size(run, argv)[0] == 0
+        (in_pipeline, names), (alone, nothing) = held
+        reads = cli.STAGES["augment"][2]
+        assert (names, nothing) == (sorted(reads), [])
+        _, inputs_size = traced_size(lambda: [
+            corpus.load_sentences(out / name, empty_ok=name == cli.ALI_BPE) for name in reads
+        ])
+        pair_corpus, corpus_size = traced_size(
+            corpus.load_parallel, data_path("mini.src"), data_path("mini.tgt")
+        )
         assert len(pair_corpus.pairs) == 1000
-        in_pipeline, alone = held
         # held, the corpus would add all of corpus_size
-        assert in_pipeline - alone < corpus_size / 4
+        assert in_pipeline - alone < inputs_size + corpus_size / 4
 
     def test_align_holds_one_direction_at_a_time(self, tmp_path):
         # a wide vocabulary makes each direction's table most of its memory
