@@ -173,19 +173,13 @@ def _take(name: str, read: Callable[[], Any]) -> Any:
 
 def stage_align(src: str, tgt: str, out: Path, iterations: int) -> None:
     pair_corpus = _take(_CORPUS, partial(corpus.load_parallel, src, tgt))
-    _align_direction(pair_corpus, model1.TGT_TO_SRC, iterations, out / TABLE_T2S, out / ALIGN_T2S)
-    _align_direction(pair_corpus, model1.SRC_TO_TGT, iterations, out / TABLE_S2T, out / ALIGN_S2T)
-
-
-def _align_direction(
-    pair_corpus: corpus.ParallelCorpus, direction: model1.Direction, iterations: int,
-    table_path: Path, align_path: Path,
-) -> None:
-    """Train, write and apply one direction's table, freed before the next trains."""
-    table = model1.train_model1(pair_corpus, direction, iterations)
-    model1.write_table(table, table_path)
-    alignments = [model1.viterbi_align(table, pair) for pair in pair_corpus.pairs]
-    model1.write_alignments(alignments, align_path)
+    for direction, table_name, align_name in ((model1.TGT_TO_SRC, TABLE_T2S, ALIGN_T2S),
+                                              (model1.SRC_TO_TGT, TABLE_S2T, ALIGN_S2T)):
+        table = model1.train_model1(pair_corpus, direction, iterations)
+        model1.write_table(table, out / table_name)
+        model1.write_alignments([model1.viterbi_align(table, pair) for pair in pair_corpus.pairs],
+                                out / align_name)
+        del table  # freed before the next direction trains
 
 
 def stage_symmetrize(src: str, tgt: str, out: Path) -> None:

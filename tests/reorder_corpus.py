@@ -11,7 +11,6 @@ import itertools
 import random
 
 VOCAB = 20_000
-PAIRS = 200
 LENGTHS = (5, 30)
 SPAN = (3, 6)
 
@@ -29,14 +28,15 @@ def _word(rank, syllables):
             return "".join(parts)
 
 
-def make_reorder_corpus(seed):
-    """``PAIRS`` (source, target, order) triples: ``order[j]`` is the source
-    position whose word is translated at target position ``j``."""
+def make_reorder_corpus(seed, pairs=200):
+    """``pairs`` (source, target, order) triples: ``order[j]`` is the source
+    position whose word is translated at target position ``j``. The pairs
+    are drawn one after another, so fewer pairs are a prefix of more."""
     rng = random.Random(seed)
     ranks = range(VOCAB)
     cum = list(itertools.accumulate(1.0 / (r + 1) for r in ranks))
     corpus = []
-    for _ in range(PAIRS):
+    for _ in range(pairs):
         length = rng.randint(*LENGTHS)
         words = rng.choices(ranks, cum_weights=cum, k=length)
         order = [0, length - 1, *range(1, length - 1)]

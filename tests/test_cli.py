@@ -17,6 +17,7 @@ import pytest
 
 from lexali import __version__, augment, cli, corpus, model1
 from lexali.errors import LexaliError
+from heap import traced
 
 DATA = resources.files("lexali") / "data"
 
@@ -1270,16 +1271,6 @@ def test_invalid_utf8_input_exits_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {src}: invalid UTF-8 at byte offset 9\n"
 
 
-def traced_peak(function, *args, **kwargs):
-    """The peak of the memory that tracemalloc traces while function runs."""
-    tracemalloc.start()
-    try:
-        function(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemory:
     """Peaks traced by tracemalloc, which counts Python's own allocations
     and nearly the same bytes on every run, compared only with each other."""
@@ -1289,21 +1280,16 @@ class TestMemory:
         assert run(["pipeline", "--src", data_path("mini.src"),
                     "--tgt", data_path("mini.tgt"), "--out", out]) == 0
         kinds = tuple(augment.SegmentKind)  # the default: lex, ali, tgt
-        stage_peak = traced_peak(cli.stage_augment, out=out, segments=kinds, mode="full")
-
-        tracemalloc.start()
-        try:
-            # read as the stage reads them, one str per distinct word
-            src, tgt, lex, ali = [
-                corpus.load_sentences(out / name, empty_ok=name == cli.ALI_BPE)
-                for name in (cli.SRC_BPE, cli.TGT_BPE, cli.LEX_BPE, cli.ALI_BPE)
-            ]
-            segments = dict(zip(kinds, (lex, ali, tgt)))
-            inputs_size = tracemalloc.get_traced_memory()[0]
-            examples = list(augment.augment_corpus(src, segments, "full"))
-            examples_size = tracemalloc.get_traced_memory()[0] - inputs_size
-        finally:
-            tracemalloc.stop()
+        stage_peak = traced(cli.stage_augment, out=out, segments=kinds, mode="full")[2]
+        # read as the stage reads them, one str per distinct word
+        (src, tgt, lex, ali), inputs_size, _ = traced(lambda: [
+            corpus.load_sentences(out / name, empty_ok=name == cli.ALI_BPE)
+            for name in (cli.SRC_BPE, cli.TGT_BPE, cli.LEX_BPE, cli.ALI_BPE)
+        ])
+        segments = dict(zip(kinds, (lex, ali, tgt)))
+        examples, examples_size, _ = traced(
+            lambda: list(augment.augment_corpus(src, segments, "full"))
+        )
         assert len(examples) == 6 * len(src)
         # beyond the sentences it reads, the stage holds less than a quarter
         # of what the list of its examples would
@@ -1320,33 +1306,23 @@ class TestMemory:
         stage_augment = cli.stage_augment
 
         def augment_after_noting_what_is_held(**kwargs):
-            # a full collection also empties the free lists, whose freed
-            # tuples tracemalloc still counts
+            # collected as traced collects; both notes are read in the same
+            # kind of trace, so what an outer trace holds cancels out of
+            # their difference
             gc.collect()
             held.append((tracemalloc.get_traced_memory()[0], sorted(cli._held or ())))
             stage_augment(**kwargs)
 
-        def traced_size(function, *args):
-            """What function returns, and the memory traced once it has."""
-            # collected first, so that no tuple comes untraced off a free list
-            gc.collect()
-            tracemalloc.start()
-            try:
-                result = function(*args)
-                return result, tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-
         monkeypatch.setattr(cli, "stage_augment", augment_after_noting_what_is_held)
         for argv in (toy_argv("pipeline", out, "mini"), ["augment", "--out", out]):
-            assert traced_size(run, argv)[0] == 0
+            assert traced(run, argv)[0] == 0
         (in_pipeline, names), (alone, nothing) = held
         reads = cli.STAGES["augment"][2]
         assert (names, nothing) == (sorted(reads), [])
-        _, inputs_size = traced_size(lambda: [
+        inputs_size = traced(lambda: [
             corpus.load_sentences(out / name, empty_ok=name == cli.ALI_BPE) for name in reads
-        ])
-        pair_corpus, corpus_size = traced_size(
+        ])[1]
+        pair_corpus, corpus_size, _ = traced(
             corpus.load_parallel, data_path("mini.src"), data_path("mini.tgt")
         )
         assert len(pair_corpus.pairs) == 1000
@@ -1367,26 +1343,15 @@ class TestMemory:
         out = tmp_path / "run"
         out.mkdir()
 
-        tracemalloc.start()
-        try:
-            pair_corpus = corpus.load_parallel(src, tgt)
-            corpus_size = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        train_peak = table_size = 0
-        for direction in (model1.TGT_TO_SRC, model1.SRC_TO_TGT):
-            tracemalloc.start()
-            try:
-                table = model1.train_model1(pair_corpus, direction, 2)
-                gc.collect()  # what is still traced is the table
-                size, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            del table
-            train_peak = max(train_peak, peak)
-            table_size = max(table_size, size)
-        stage_peak = traced_peak(cli.stage_align, str(src), str(tgt), out, 2)
+        pair_corpus, corpus_size, _ = traced(corpus.load_parallel, src, tgt)
+        # each direction's table size and training peak, with no table held
+        # while the next direction trains
+        table_sizes, train_peaks = zip(*[
+            traced(model1.train_model1, pair_corpus, direction, 2)[1:]
+            for direction in (model1.TGT_TO_SRC, model1.SRC_TO_TGT)
+        ])
+        stage_peak = traced(cli.stage_align, str(src), str(tgt), out, 2)[2]
         # the stage also holds the corpus it reads and formats each table
         # after training it, but a first table kept while the second
         # direction trains would not fit
-        assert stage_peak < corpus_size + train_peak + table_size
+        assert stage_peak < corpus_size + max(train_peaks) + max(table_sizes)

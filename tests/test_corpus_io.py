@@ -6,7 +6,6 @@ import re
 import stat
 import subprocess
 import sys
-import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 from lexali import corpus
 from lexali.errors import LexaliError
+from heap import traced
 from oracles import load_parallel_loop_oracle, load_sentences_loop_oracle, tokenize_oracle
 
 TOKEN = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
@@ -143,23 +143,13 @@ def test_load_sentences_holds_one_object_per_word(tmp_path):
     assert sentences[0][1] is sentences[2][0] is sentences[2][2]
 
 
-def traced_size(read):
-    """The memory tracemalloc traces for what read() returns, while it is held."""
-    tracemalloc.start()
-    try:
-        held = read()  # noqa: F841 -- held while the size is taken
-        return tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-
-
 def test_load_parallel_holds_less_than_half_of_per_token_copies():
     data = resources.files("lexali") / "data"
     src, tgt = str(data / "mini.src"), str(data / "mini.tgt")
-    loaded = traced_size(lambda: corpus.load_parallel(src, tgt))
-    copies = traced_size(lambda: [
+    loaded = traced(corpus.load_parallel, src, tgt)[1]
+    copies = traced(lambda: [
         [tuple(line.split()) for line in corpus.read_lines(path)] for path in (src, tgt)
-    ])
+    ])[1]
     assert loaded < copies / 2
 
 

@@ -1,10 +1,8 @@
 """Model 1 training, Viterbi alignment, likelihood, table files."""
 
-import gc
 import math
 import random
 import re
-import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -13,6 +11,7 @@ from hypothesis import strategies as st
 from lexali import model1
 from lexali.corpus import ParallelCorpus
 from lexali.errors import LexaliError
+from heap import traced
 from oracles import (
     em_loop_oracle,
     em_oracle,
@@ -225,23 +224,9 @@ class TestTraining:
         corpus = ParallelCorpus(
             pairs=tuple((sentence("s"), sentence("t")) for _ in range(200))
         )
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            gc.collect()
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            table = model1.train_model1(corpus, model1.TGT_TO_SRC, 5)
-            # a full collection also empties the free lists, so what is
-            # still traced is the table
-            gc.collect()
-            size, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        table, size, peak = traced(model1.train_model1, corpus, model1.TGT_TO_SRC, 5)
         assert sum(map(len, table.probs.values())) > 55_000
-        assert (peak - base) / (size - base) <= 2.1
+        assert peak / size <= 2.1
 
     def test_deterministic_bit_identical(self):
         rng = random.Random(5)
