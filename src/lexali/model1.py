@@ -37,7 +37,7 @@ The same order makes tables repeat values: two emitted words seen in the
 same sentences the same number of times receive identical shares in the same
 order, so they get bit-identical probabilities in every row, and hapaxes
 sharing a sentence are common under Zipf's law. ``write_table`` therefore
-formats each distinct probability once instead of once per entry.
+formats each distinct probability of a row once instead of once per entry.
 
 Training uses that for hapaxes, emitted words seen once in the corpus. Two
 or more in one sentence pair form a group, represented by the first, which
@@ -57,9 +57,11 @@ be the representative's floats at every iteration. Each emitted token keeps
 its full tuple of cells for the denominator, the representative's cell at
 every member's place, and a second tuple without the members' places for the
 adds, so a conditioning word that repeats in a sentence still adds once per
-place. The table gives every member its own copy of the representative's
-row. The group's one row is numbered like any other, so each row's cells
-stay contiguous.
+place. The group's one row is numbered like any other, so each row's cells
+stay contiguous. The table binds every member to the representative's row
+dict itself, so rows may be shared and a table is read-only. Work per row
+is done once per row object: ``write_table`` formats a shared row once, and
+``viterbi_align`` scans it at its first position in a sentence only.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Literal, NamedTuple
 
-from .corpus import ParallelCorpus, Sentence, read_lines, write_lines
+from .corpus import ParallelCorpus, Sentence, read_lines, replacing, write_lines
 from .errors import LexaliError
 
 Direction = Literal["tgt_to_src", "src_to_tgt"]
@@ -94,7 +96,9 @@ Layout = tuple[tuple[int, ...], tuple[tuple[int, ...] | None, ...], Grouped | No
 
 
 class TranslationTable(NamedTuple):
-    """t(emitted | conditioning) for one direction; missing entries are 0."""
+    """t(emitted | conditioning) for one direction; missing entries are 0.
+
+    Read-only: conditioning words of one row group share one row dict."""
 
     direction: Direction
     probs: dict[str, dict[str, float]]
@@ -152,11 +156,10 @@ def train_model1(
             row_probs = table.get(words[row], {})
             if members[0] in row_probs:
                 row_probs.update(dict.fromkeys(members, row_probs[members[0]]))
-    # and every member of a row group its representative's row
+    # and every member of a row group its representative's row, shared
     for rep, *members in row_groups:
         if rep in table:
-            for e in members:
-                table[e] = table[rep].copy()
+            table.update(dict.fromkeys(members, table[rep]))
     return TranslationTable(direction=direction, probs=table)
 
 
@@ -311,12 +314,18 @@ def viterbi_align(
     probs = table.probs
     missing: dict[str, float] = {}
     null_row = probs.get(NULL_WORD, missing)
-    rows = [probs.get(e, missing) for e in conditioning]
+    # a later position with the same row object scores the same and loses
+    # every tie, so only each row's first position is scanned
+    firsts: dict[int, tuple[int, dict[str, float]]] = {}
+    for i, e in enumerate(conditioning):
+        row = probs.get(e, missing)
+        firsts.setdefault(id(row), (i, row))
+    rows = firsts.values()
     links: list[int | None] = []
     for f in emitted:
         best_i: int | None = None
         best_p = null_row.get(f, 0.0)
-        for i, row in enumerate(rows):
+        for i, row in rows:
             p = row.get(f, 0.0)
             # once best_i is a real position, equal scores keep the earlier one
             if p > best_p or (p == best_p and p > 0.0 and best_i is None):
@@ -329,24 +338,34 @@ def viterbi_align(
 def write_table(table: TranslationTable, path: str | Path) -> None:
     """Write "conditioning emitted prob" lines sorted by the word pair.
 
-    Probabilities use repr, so reading the file back is bit-exact. Each
-    distinct value is formatted once; zeros are not memoized, because 0.0
-    and -0.0 are equal keys with different reprs.
+    Probabilities use repr, so reading the file back is bit-exact. A row's
+    distinct values are each formatted once; zeros are not memoized, because
+    0.0 and -0.0 are equal keys with different reprs. A row object shared by
+    several words is formatted once, and its text is kept only until its
+    last word is written.
     """
-    text: dict[float, str] = {}
-
-    def lines() -> Iterator[str]:
+    uses = Counter(map(id, table.probs.values()))
+    kept: dict[int, list[str]] = {}
+    with replacing(path) as write:
         for e, row in sorted(table.probs.items()):
-            for f in sorted(row):
-                p = row[f]
-                s = text.get(p)
-                if s is None:
-                    s = repr(p)
-                    if p:
-                        text[p] = s
-                yield f"{e} {f} {s}"
-
-    write_lines(path, lines())
+            key = id(row)
+            uses[key] -= 1
+            parts = kept.get(key) if uses[key] else kept.pop(key, None)
+            if parts is None:
+                text: dict[float, str] = {}
+                parts = []
+                for f in sorted(row):
+                    p = row[f]
+                    s = text.get(p)
+                    if s is None:
+                        s = repr(p)
+                        if p:
+                            text[p] = s
+                    parts.append(f" {f} {s}")
+                if uses[key]:
+                    kept[key] = parts
+            if parts:
+                write(e + ("\n" + e).join(parts) + "\n")
 
 
 def write_alignments(alignments: Iterable[Links], path: str | Path) -> None:

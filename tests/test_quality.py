@@ -3,15 +3,19 @@
 On the bundled mini corpus the gold links come from a twin of
 ``tools/make_mini_corpus.make_pair``: the same random draws, the same
 sentences, and for each pattern the source-target position pairs its words
-were placed at. On the reordering corpus of ``reorder_corpus`` they come
-from the generator's word order. The bounds sit just outside the values the
-pipeline gives today, so a change that aligns worse, translates fewer words
-or wrongly, or drops more target words from ``train.ali`` fails here even
-when every artifact is still well formed.
+were placed at. On the zipf-align benchmark corpus they come from a twin of
+``perfbench/workloads.make_zipf_corpus`` that keeps each pair's word order,
+and on the reordering corpus of ``reorder_corpus`` from the generator's.
+The bounds sit just outside the values the pipeline gives today, so a change
+that aligns worse, translates fewer words or wrongly, or drops more target
+words from ``train.ali`` fails here even when every artifact is still well
+formed.
 """
 
 import importlib.util
+import itertools
 import random
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -20,10 +24,20 @@ import pytest
 from lexali import cli
 from reorder_corpus import make_reorder_corpus
 
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "make_mini_corpus.py"
-_spec = importlib.util.spec_from_file_location("make_mini_corpus", _TOOL)
-mini = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mini)
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name, path):
+    """The module at ``path``, loaded by path and only read; registered under
+    ``name``, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+mini = _load("make_mini_corpus", _ROOT / "tools" / "make_mini_corpus.py")
+workloads = _load("perfbench_workloads", _ROOT / "perfbench" / "workloads.py")
 
 # make_pair's six patterns in order, as the source and the target sentence's
 # slots; a slot names one drawn (source word, target word) pair, and the
@@ -54,6 +68,26 @@ def make_pair(rng):
     src = [words[slot][0] for slot in src_slots]
     tgt = [words[slot][1] for slot in tgt_slots]
     return src, tgt, links
+
+
+def make_zipf_corpus(seed):
+    """make_zipf_corpus's (source, target, order) triples, from the same
+    draws: ``order[j]`` is the source position translated at target
+    position ``j``."""
+    rng = random.Random(seed)
+    zipf = workloads._Zipf(workloads.ZIPF_VOCAB)
+    lengths = workloads._balanced_lengths(rng, workloads.ZIPF_LENGTHS, workloads.ZIPF_PAIRS)
+    tokens = iter(zipf.quantiles(rng, sum(lengths)))
+    corpus = []
+    for length in lengths:
+        ranks = list(itertools.islice(tokens, length))
+        order = list(range(length))
+        for i in range(2, length - 1, 3):
+            if rng.random() < workloads.ZIPF_SWAP_P:
+                order[i], order[i + 1] = order[i + 1], order[i]
+        corpus.append(([zipf.src[r] for r in ranks], [zipf.tgt[ranks[i]] for i in order],
+                       order))
+    return corpus
 
 
 def gold_prefix(name, pairs):
@@ -129,16 +163,14 @@ def test_alignment_precision_and_recall(mini_run, name, flip, precision_floor, r
     assert aer <= AER_CEILINGS[name]
 
 
-def test_lexicon_lex_and_ali_coverage(mini_run):
-    data, out, corpus = mini_run
+def coverage(out, corpus, translations):
+    """Lexicon, lex and ali figures of a run on ``corpus``'s (source, target,
+    gold links) triples; ``translations`` maps a source word to the set of
+    its right target words."""
     lexicon = [line.split("\t") for line in
                (out / cli.LEXICON).read_text(encoding="utf-8").splitlines()]
     entries = len(lexicon)
     src_types = len({word for src, _, _ in corpus for word in src})
-    translations = {}
-    for src_word, tgt_word in [*mini.DETERMINERS, *mini.NOUNS, *mini.VERBS, *mini.ADJECTIVES,
-                               *mini.ADVERBS, mini.AND]:
-        translations.setdefault(src_word, set()).add(tgt_word)
     right_entries = sum(tgt_word in translations[src_word] for src_word, tgt_word, _ in lexicon)
     lex = [line.split() for line in (out / cli.LEX_WORDS).read_text(encoding="utf-8").splitlines()]
     ali = [line.split() for line in (out / cli.ALI_WORDS).read_text(encoding="utf-8").splitlines()]
@@ -160,12 +192,62 @@ def test_lexicon_lex_and_ali_coverage(mini_run):
           f"{copied} of {lex_tokens} lex tokens copied untranslated, {right_tokens} right; "
           f"|ali| / |tgt| = {ali_tokens} / {tgt_tokens}, {right_ali} right; "
           f"{equal} of {len(ali)} ali lines equal their target")
-    assert entries / src_types >= 0.94           # today 55 / 58
-    assert right_entries == entries              # today 55 / 55
-    assert right_tokens / lex_tokens >= 0.65     # today 3,918 / 5,975 = 0.656
-    assert copied / lex_tokens <= 0.34           # today 0.333
-    assert ali_tokens / tgt_tokens >= 0.66       # today 0.667
-    assert right_ali / ali_tokens >= 0.98        # today 3,918 / 3,985 = 0.983
+    return {"entries": entries / src_types, "lexicon": right_entries / entries,
+            "lex": right_tokens / lex_tokens, "copied": copied / lex_tokens,
+            "ali_share": ali_tokens / tgt_tokens, "ali": right_ali / ali_tokens}
+
+
+def test_lexicon_lex_and_ali_coverage(mini_run):
+    _, out, corpus = mini_run
+    translations = {}
+    for src_word, tgt_word in [*mini.DETERMINERS, *mini.NOUNS, *mini.VERBS, *mini.ADJECTIVES,
+                               *mini.ADVERBS, mini.AND]:
+        translations.setdefault(src_word, set()).add(tgt_word)
+    figures = coverage(out, corpus, translations)
+    assert figures["entries"] >= 0.94    # today 55 / 58
+    assert figures["lexicon"] == 1.0     # today 55 / 55
+    assert figures["lex"] >= 0.65        # today 3,918 / 5,975 = 0.656
+    assert figures["copied"] <= 0.34     # today 0.333
+    assert figures["ali_share"] >= 0.66  # today 0.667
+    assert figures["ali"] >= 0.98        # today 3,918 / 3,985 = 0.983
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_twin_regenerates_the_zipf_corpus(tmp_path, seed):
+    corpus = make_zipf_corpus(seed)
+    for side, path in enumerate(workloads.make_zipf_corpus(seed, tmp_path)):
+        text = "".join(" ".join(pair[side]) + "\n" for pair in corpus)
+        assert text.encode("utf-8") == path.read_bytes(), path.name
+
+
+# (precision, recall) floors on zipf-align seeds 0, 1 and 3; today tgt->src
+# 0.539 / 0.539, 0.540 / 0.540 and 0.540 / 0.540, the intersection
+# 0.995 / 0.536, 0.996 / 0.538 and 0.994 / 0.537
+ZIPF_FLOORS = {cli.ALIGN_T2S: (0.53, 0.53), cli.ALIGN_INTERSECT: (0.99, 0.53)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_zipf_alignment_and_coverage(tmp_path, seed):
+    """The benchmark's primary EM corpus: Zipf-distributed words, each
+    translated word for word, with neighbours swapped now and then."""
+    corpus = [(src, tgt, {(i, j) for j, i in enumerate(order)})
+              for src, tgt, order in make_zipf_corpus(seed)]
+    out = run_on(corpus, tmp_path)
+    gold = [links for *_, links in corpus]
+    for name, (precision_floor, recall_floor) in ZIPF_FLOORS.items():
+        precision, recall, aer = precision_recall_aer(read_cells(out / name), gold)
+        print(f"zipf seed {seed} {name}: precision {precision:.3f}, recall {recall:.3f}, "
+              f"AER {aer:.3f}")
+        assert precision >= precision_floor and recall >= recall_floor
+    # each source word has one translation, the target word of its rank
+    translations = {src[i]: {tgt[j]} for src, tgt, links in corpus for i, j in links}
+    figures = coverage(out, corpus, translations)
+    assert figures["entries"] >= 0.25    # today 424 / 1,672 = 0.254 on each seed
+    assert figures["lexicon"] >= 0.98    # today 418, 417 and 419 of 424
+    assert figures["lex"] >= 0.63        # today 2,173, 2,172 and 2,175 of 3,428
+    assert figures["copied"] <= 0.37     # today 1,249, 1,249 and 1,248 of 3,428
+    assert figures["ali_share"] >= 0.99  # today 3,428 / 3,428
+    assert figures["ali"] >= 0.63        # today 2,180, 2,179 and 2,180 of 3,428
 
 
 @pytest.fixture(scope="module")
